@@ -21,7 +21,8 @@
 package qmf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"unitdb/internal/engine"
 	"unitdb/internal/stats"
@@ -84,6 +85,14 @@ type QMF struct {
 	lastBusy       float64
 	ticks          int
 	lastDropFrac   float64
+
+	ranked []aur // recomputeDropSet's reusable ranking buffer
+}
+
+// aur is one item's access-per-update ratio, the drop-set ranking key.
+type aur struct {
+	item  int
+	ratio float64
 }
 
 // New creates a QMF policy.
@@ -246,29 +255,31 @@ func (q *QMF) clamp() {
 // recomputeDropSet marks the dropFrac fraction of update-receiving items
 // with the lowest access-per-update ratio for dropping.
 func (q *QMF) recomputeDropSet() {
-	type aur struct {
-		item  int
-		ratio float64
-	}
-	var items []aur
+	items := q.ranked[:0]
 	for item, u := range q.upd {
 		if u == 0 {
 			continue // never updated: nothing to drop
 		}
 		items = append(items, aur{item: item, ratio: float64(q.acc[item]) / float64(u)})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].ratio != items[j].ratio {
-			return items[i].ratio < items[j].ratio
-		}
-		return items[i].item < items[j].item
-	})
-	k := int(q.dropFrac * float64(len(items)))
+	q.ranked = items
 	for i := range q.dropSet {
 		q.dropSet[i] = false
 	}
-	for i := 0; i < k; i++ {
-		q.dropSet[items[i].item] = true
+	k := int(q.dropFrac * float64(len(items)))
+	if k == 0 {
+		return
+	}
+	// (ratio, item) is a total order, so the k lowest are the same set
+	// whichever sort finds them.
+	slices.SortFunc(items, func(a, b aur) int {
+		if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.item, b.item)
+	})
+	for _, it := range items[:k] {
+		q.dropSet[it.item] = true
 	}
 }
 
