@@ -10,7 +10,17 @@
 //     would newly endanger exceeds the candidate's rejection penalty C_r,
 //     rejecting is the cheaper choice and the candidate is refused.
 //
-// Both gates are O(N_rq) in the ready-queue length, as the paper states.
+// Both gates are one O(N_rq) walk of the query class in dispatch order, as
+// the paper prices them. The ready queue (package readyq) keeps that class
+// sorted, so AdmitOrdered walks it in place: the queries ahead of the
+// candidate are a prefix whose summed Remaining is gate 1's EST, and gate 2
+// carries the same running sum over the rest. Txn.HigherPriority is a
+// strict total order, so the dispatch order is unique and the walk adds the
+// same floats in the same sequence as a walk over a sorted snapshot would —
+// every decision and counter is bit-identical either way (pinned by the
+// oracle property test). Admit is that snapshot-and-sort path, kept for
+// views that are not a readyq.Queue and cannot promise an order; it is the
+// only user of the controller's scratch buffer.
 package admission
 
 import (
@@ -21,7 +31,8 @@ import (
 	"unitdb/internal/txn"
 )
 
-// QueueView is the engine-state snapshot admission control decides on.
+// QueueView is the queue state Admit decides on when the caller has no
+// ordered ready queue to hand to AdmitOrdered.
 type QueueView interface {
 	// RunningRemaining returns the remaining service demand of the
 	// currently executing transaction (0 when the CPU is idle).
@@ -31,17 +42,6 @@ type QueueView interface {
 	UpdateBacklog() float64
 	// QueuedQueries returns the queries in the ready queue, any order.
 	QueuedQueries() []*txn.Txn
-}
-
-// BulkView is an optional QueueView extension: views that can append the
-// queued queries into a caller-provided buffer let the controller reuse
-// one scratch slice across decisions instead of taking a fresh snapshot
-// allocation on every Admit — both gates run per query arrival, so this
-// is an engine hot path (see BenchmarkAdmissionDecision).
-type BulkView interface {
-	// AppendQueuedQueries appends the queued queries to buf and returns
-	// the extended buffer, any order.
-	AppendQueuedQueries(buf []*txn.Txn) []*txn.Txn
 }
 
 // Reason says why a query was rejected.
@@ -89,8 +89,8 @@ type Controller struct {
 	rejectedDeadline int
 	rejectedUSM      int
 
-	// scratch is the reusable queued-query buffer of Admit. A Controller
-	// is single-caller by design (the simulator's event loop or the live
+	// scratch is Admit's reusable snapshot buffer. A Controller is
+	// single-caller by design (the simulator's event loop or the live
 	// server under its mutex), so one buffer suffices.
 	scratch []*txn.Txn
 }
@@ -172,18 +172,13 @@ func (c *Controller) Stats() (admitted, rejectedDeadline, rejectedUSM int) {
 	return c.admitted, c.rejectedDeadline, c.rejectedUSM
 }
 
-// Admit runs both admission gates for candidate q at the given time over
-// the current queue state, updating the decision counters.
+// Admit decides on a view that cannot promise an order: it snapshots the
+// queued queries into the controller's scratch buffer, sorts them under
+// Txn.HigherPriority, and runs AdmitOrdered over the result. Callers that
+// hold a readyq.Queue call AdmitOrdered directly; this path remains for
+// views assembled from loose transactions.
 func (c *Controller) Admit(now float64, q *txn.Txn, view QueueView) Reason {
-	if q.Class != txn.ClassQuery {
-		panic(fmt.Sprintf("admission: Admit on non-query %v", q))
-	}
-	queued := c.scratch[:0]
-	if bv, ok := view.(BulkView); ok {
-		queued = bv.AppendQueuedQueries(queued)
-	} else {
-		queued = append(queued, view.QueuedQueries()...)
-	}
+	queued := append(c.scratch[:0], view.QueuedQueries()...)
 	c.scratch = queued[:0]
 	slices.SortFunc(queued, func(a, b *txn.Txn) int {
 		if a.HigherPriority(b) {
@@ -194,37 +189,45 @@ func (c *Controller) Admit(now float64, q *txn.Txn, view QueueView) Reason {
 		}
 		return 0
 	})
-	base := view.RunningRemaining() + view.UpdateBacklog()
+	return c.AdmitOrdered(now, q, view.RunningRemaining()+view.UpdateBacklog(), queued)
+}
 
-	// Gate 1 — transaction deadline check: C_flex·EST + qe < qt, with EST
-	// the work dispatched ahead of q (running + update backlog + queued
-	// queries with earlier deadlines).
-	est := base
-	for _, other := range queued {
-		if other.HigherPriority(q) {
-			est += other.Remaining
-		}
+// AdmitOrdered runs both admission gates for candidate q at the given
+// time, updating the decision counters. ahead is the work dispatched
+// before any query (running remainder plus update backlog); queued is the
+// query class of the ready queue in dispatch order — sorted under
+// Txn.HigherPriority, as readyq.Queue.EDFQueries returns it — and is only
+// read. One pass, no allocation.
+func (c *Controller) AdmitOrdered(now float64, q *txn.Txn, ahead float64, queued []*txn.Txn) Reason {
+	if q.Class != txn.ClassQuery {
+		panic(fmt.Sprintf("admission: Admit on non-query %v", q))
 	}
-	if now+c.cflex*est+q.EstExec >= q.Deadline {
+	// Gate 1 — transaction deadline check: C_flex·EST + qe < qt, with EST
+	// the work dispatched ahead of q: ahead plus the queued queries with
+	// earlier deadlines, which in dispatch order are exactly a prefix.
+	prefix := ahead
+	i := 0
+	for ; i < len(queued) && queued[i].HigherPriority(q); i++ {
+		prefix += queued[i].Remaining
+	}
+	if now+c.cflex*prefix+q.EstExec >= q.Deadline {
 		c.rejectedDeadline++
 		return RejectedDeadline
 	}
 
 	// Gate 2 — system USM check: q delays every queued query behind it by
-	// qe. Sum the DMF penalties of the queries that delay newly endangers
-	// (they would have finished in time without q, and no longer would).
-	// When that exceeds the candidate's rejection cost, reject. The gate is
+	// qe. Carrying the same running prefix over the rest of the queue, sum
+	// the DMF penalties of the queries that delay newly endangers (they
+	// would have finished in time without q, and no longer would). When
+	// that exceeds the candidate's rejection cost, reject. The gate is
 	// inert when both C_fm and C_r are zero (naive USM setting).
 	endangeredCost := 0.0
-	prefix := base
-	for _, other := range queued {
+	for _, other := range queued[i:] {
 		finish := now + prefix + other.Remaining
-		if !other.HigherPriority(q) {
-			wasSafe := finish < other.Deadline
-			nowLate := finish+q.EstExec >= other.Deadline
-			if wasSafe && nowLate {
-				endangeredCost += c.resolve(other).Cfm
-			}
+		wasSafe := finish < other.Deadline
+		nowLate := finish+q.EstExec >= other.Deadline
+		if wasSafe && nowLate {
+			endangeredCost += c.resolve(other).Cfm
 		}
 		prefix += other.Remaining
 	}

@@ -2,9 +2,12 @@ package admission
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"unitdb/internal/core/usm"
+	"unitdb/internal/readyq"
+	"unitdb/internal/stats"
 	"unitdb/internal/txn"
 )
 
@@ -235,5 +238,141 @@ func TestAdmitIsDeterministic(t *testing.T) {
 	}
 	if math.IsNaN(float64(first)) {
 		t.Fatal("unreachable")
+	}
+}
+
+// referenceAdmit is the snapshot-and-sort Admit this package shipped before
+// admission walked the ordered ready queue: copy the queue, sort it, sweep
+// it once per gate. It is the oracle of TestOrderedWalkMatchesReference.
+func referenceAdmit(c *Controller, now float64, q *txn.Txn, view QueueView) Reason {
+	queued := append([]*txn.Txn(nil), view.QueuedQueries()...)
+	slices.SortFunc(queued, func(a, b *txn.Txn) int {
+		if a.HigherPriority(b) {
+			return -1
+		}
+		if b.HigherPriority(a) {
+			return 1
+		}
+		return 0
+	})
+	base := view.RunningRemaining() + view.UpdateBacklog()
+	est := base
+	for _, other := range queued {
+		if other.HigherPriority(q) {
+			est += other.Remaining
+		}
+	}
+	if now+c.cflex*est+q.EstExec >= q.Deadline {
+		c.rejectedDeadline++
+		return RejectedDeadline
+	}
+	endangeredCost := 0.0
+	prefix := base
+	for _, other := range queued {
+		finish := now + prefix + other.Remaining
+		if !other.HigherPriority(q) {
+			wasSafe := finish < other.Deadline
+			nowLate := finish+q.EstExec >= other.Deadline
+			if wasSafe && nowLate {
+				endangeredCost += c.resolve(other).Cfm
+			}
+		}
+		prefix += other.Remaining
+	}
+	if endangeredCost > c.resolve(q).Cr {
+		c.rejectedUSM++
+		return RejectedUSM
+	}
+	c.admitted++
+	return Admitted
+}
+
+// TestOrderedWalkMatchesReference is the oracle property test: over seeded
+// random ready queues — depths 0 to 2048, deadlines on a coarse grid so
+// duplicates are common, partially-run Remaining, per-class weights, C_flex
+// moved by TAC/LAC signals — the in-place walk of the ordered queue, the
+// unordered fallback and the old snapshot-and-sort implementation must
+// return the same Reason for every candidate and end with the same Stats.
+// The queues are built tight (deadlines near each query's own finish time)
+// so that both gates fire; the test fails if any verdict never occurs.
+func TestOrderedWalkMatchesReference(t *testing.T) {
+	classes := []usm.Weights{{Cr: 0.2, Cfm: 0.8, Cfs: 0.2}, {Cr: 2, Cfm: 0.6, Cfs: 0.1}, {}}
+	resolver := WithResolver(func(tx *txn.Txn) usm.Weights { return classes[tx.PrefClass] })
+	depths := []int{0, 1, 2, 3, 7, 64, 500, 2048}
+	var seen [3]int
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := stats.NewRNG(seed)
+		depth := depths[int(seed)%len(depths)]
+		if seed > uint64(len(depths)) {
+			depth = rng.Intn(2049)
+		}
+		now := rng.Uniform(0, 100)
+		running, backlog := rng.Uniform(0, 0.05), rng.Uniform(0, 0.05)
+
+		// Draw the queue in a would-be dispatch order, each deadline a small
+		// slack away from the query's finish time in that order, then snap
+		// deadlines to a grid: the real EDF order differs, ties abound, and
+		// a good share of the queue sits within one candidate of missing.
+		txns := make([]*txn.Txn, depth)
+		finish := now + running + backlog
+		for i := range txns {
+			exec := rng.Uniform(0.001, 0.02)
+			tx := txn.NewQuery(int64(i+1), now, []int{0}, exec, 1, 0.9)
+			if rng.Float64() < 0.3 {
+				tx.Remaining = exec * rng.Float64() // preempted part-way
+			}
+			finish += tx.Remaining
+			tx.Deadline = math.Round((finish+rng.Uniform(-0.01, 0.04))*50) / 50
+			tx.PrefClass = rng.Intn(len(classes))
+			txns[i] = tx
+		}
+		rq := readyq.New()
+		for _, i := range rng.Perm(depth) {
+			rq.Push(txns[i])
+		}
+		unordered := fakeView{running: running, backlog: backlog, queued: txns}
+
+		ref := New(classes[0], resolver)
+		walk := New(classes[0], resolver)
+		fallback := New(classes[0], resolver)
+		for n := 0; n < 40; n++ {
+			exec := rng.Uniform(0.001, 0.03)
+			cand := txn.NewQuery(int64(depth+1+n), now, []int{0}, exec, rng.Uniform(0, 1.3)*(finish-now)+exec, 0.9)
+			if rng.Float64() < 0.5 {
+				cand.Deadline = math.Round(cand.Deadline*50) / 50
+			}
+			if rng.Float64() < 0.1 && depth > 0 {
+				// Collide with a queued query's whole key but for the id.
+				cand.Deadline = txns[rng.Intn(depth)].Deadline
+			}
+			cand.PrefClass = rng.Intn(len(classes))
+			want := referenceAdmit(ref, now, cand, unordered)
+			if got := walk.AdmitOrdered(now, cand, running+backlog, rq.EDFQueries()); got != want {
+				t.Fatalf("seed %d depth %d cand %d: ordered walk %v, reference %v", seed, depth, n, got, want)
+			}
+			if got := fallback.Admit(now, cand, unordered); got != want {
+				t.Fatalf("seed %d depth %d cand %d: unordered fallback %v, reference %v", seed, depth, n, got, want)
+			}
+			seen[want]++
+			for _, c := range []*Controller{ref, walk, fallback} {
+				switch n % 4 {
+				case 1:
+					c.Loosen()
+				case 3:
+					c.Tighten()
+				}
+			}
+		}
+		ra, rd, ru := ref.Stats()
+		for name, c := range map[string]*Controller{"ordered walk": walk, "unordered fallback": fallback} {
+			if a, d, u := c.Stats(); a != ra || d != rd || u != ru {
+				t.Fatalf("seed %d depth %d: %s stats (%d,%d,%d), reference (%d,%d,%d)", seed, depth, name, a, d, u, ra, rd, ru)
+			}
+		}
+	}
+	for r, n := range seen {
+		if n == 0 {
+			t.Fatalf("no candidate ended %v: the generator no longer exercises that gate (verdict counts %v)", Reason(r), seen)
+		}
 	}
 }

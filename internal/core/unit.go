@@ -147,7 +147,8 @@ func (u *UNIT) SignalCounts() map[string]int {
 
 // AdmitQuery implements engine.Policy via the two admission gates.
 func (u *UNIT) AdmitQuery(q *txn.Txn) bool {
-	return u.ac.Admit(u.e.Now(), q, u.e) == admission.Admitted
+	ahead := u.e.RunningRemaining() + u.e.UpdateBacklog()
+	return u.ac.AdmitOrdered(u.e.Now(), q, ahead, u.e.QueuedQueries()) == admission.Admitted
 }
 
 // AdmitUpdate implements engine.Policy: an arriving source update executes

@@ -274,7 +274,9 @@ func (e *Engine) WeightsFor(t *txn.Txn) usm.Weights {
 // Workload returns the run's workload.
 func (e *Engine) Workload() *workload.Workload { return e.cfg.Workload }
 
-// RunningRemaining implements admission.QueueView.
+// RunningRemaining returns the remaining service demand of the running
+// transaction (0 when the CPU is idle). With UpdateBacklog it is the work
+// dispatched ahead of every queued query — admission's starting EST.
 func (e *Engine) RunningRemaining() float64 {
 	if e.running == nil {
 		return 0
@@ -282,17 +284,13 @@ func (e *Engine) RunningRemaining() float64 {
 	return e.runEvent.Time() - e.sim.Now()
 }
 
-// UpdateBacklog implements admission.QueueView.
+// UpdateBacklog returns the summed remaining demand of queued updates.
 func (e *Engine) UpdateBacklog() float64 { return e.ready.UpdateBacklog() }
 
-// QueuedQueries implements admission.QueueView.
-func (e *Engine) QueuedQueries() []*txn.Txn { return e.ready.Queries() }
-
-// AppendQueuedQueries implements admission.BulkView, sparing admission
-// control a queue snapshot allocation per decision.
-func (e *Engine) AppendQueuedQueries(buf []*txn.Txn) []*txn.Txn {
-	return e.ready.AppendQueries(buf)
-}
+// QueuedQueries returns the query class of the ready queue in dispatch
+// (EDF) order, for admission control to walk in place. The slice is the
+// queue's own storage: read-only, valid until the engine next runs.
+func (e *Engine) QueuedQueries() []*txn.Txn { return e.ready.EDFQueries() }
 
 // BusyTime returns the cumulative CPU time consumed so far by queries and
 // by updates. Feedback controllers difference it across windows to measure

@@ -1,8 +1,22 @@
 // Package readyq implements the dual-priority ready queue of paper §3.1:
 // update transactions are dispatched above user queries, and within each
-// class Earliest Deadline First applies. The queue supports O(log n)
-// push/pop/remove plus the O(n) scans that admission control needs to
-// compute earliest-possible start times and endangered sets.
+// class Earliest Deadline First applies. It is the one ready queue of the
+// repository: the simulator engine and the live server both dispatch from
+// it.
+//
+// Each class is a slice kept sorted under Txn.HigherPriority, which is a
+// strict total order (class, deadline, id) over keys that never change
+// while a transaction is queued — so the sorted order is unique, whatever
+// the push/pop/remove history. That is the invariant admission control
+// relies on: EDFQueries hands it the query class in dispatch order, in
+// place, and the O(N_rq) admission walk of paper §3.3 needs no snapshot,
+// copy or sort per arrival.
+//
+// A sorted slice is enough for the depths the queue sees (simulator: at
+// most a few dozen queries; live server: bounded by MaxQueue = 4096).
+// Push is a binary search plus a memmove, and a plain append for the
+// common latest-deadline arrival; Pop advances a head offset in O(1);
+// Contains and Remove find their target by binary search.
 package readyq
 
 import (
@@ -12,16 +26,9 @@ import (
 )
 
 // Queue is the two-class EDF ready queue. Not safe for concurrent use.
-//
-// Membership is tracked through each transaction's heap index (owned by
-// this package via Txn.SetHeapIndex) rather than a side map: the index
-// plus an identity check against the heap slot answers Contains in O(1)
-// without a map insert on every Push and a delete on every Pop — those
-// map operations used to dominate the queue's cost on the engine hot
-// path (see BenchmarkReadyQueueOps).
 type Queue struct {
-	updates classHeap
-	queries classHeap
+	updates edfSeq
+	queries edfSeq
 }
 
 // New creates an empty ready queue.
@@ -30,88 +37,75 @@ func New() *Queue {
 }
 
 // Len returns the number of queued transactions.
-func (q *Queue) Len() int { return q.updates.Len() + q.queries.Len() }
+func (q *Queue) Len() int { return q.updates.len() + q.queries.len() }
 
 // LenClass returns the number of queued transactions of one class.
 func (q *Queue) LenClass(c txn.Class) int {
 	if c == txn.ClassUpdate {
-		return q.updates.Len()
+		return q.updates.len()
 	}
-	return q.queries.Len()
+	return q.queries.len()
 }
 
-// Contains reports whether t is queued. A transaction's heap index is
-// only trusted when the slot it names still holds that very transaction,
-// so stale indexes (left by a different queue or a past membership) can
-// never alias.
-func (q *Queue) Contains(t *txn.Txn) bool {
-	h := q.heapFor(t)
-	i := t.HeapIndex()
-	return i >= 0 && i < len(h.txns) && h.txns[i] == t
-}
+// Contains reports whether t itself (not merely an equal key) is queued.
+func (q *Queue) Contains(t *txn.Txn) bool { return q.seqFor(t).find(t) >= 0 }
 
 // Push enqueues t. It panics if t is already queued.
 func (q *Queue) Push(t *txn.Txn) {
-	if q.Contains(t) {
+	s := q.seqFor(t)
+	i := s.search(t)
+	if s.findFrom(i, t) >= 0 {
 		panic(fmt.Sprintf("readyq: %v pushed twice", t))
 	}
-	q.heapFor(t).push(t)
+	s.insert(i, t)
 }
 
 // Pop removes and returns the highest-priority transaction (updates first,
 // then earliest deadline). It returns nil when empty.
 func (q *Queue) Pop() *txn.Txn {
-	h := &q.updates
-	if h.Len() == 0 {
-		h = &q.queries
+	if q.updates.len() > 0 {
+		return q.updates.pop()
 	}
-	if h.Len() == 0 {
-		return nil
+	if q.queries.len() > 0 {
+		return q.queries.pop()
 	}
-	return h.pop()
+	return nil
 }
 
 // Peek returns the highest-priority transaction without removing it, or nil
 // when empty.
 func (q *Queue) Peek() *txn.Txn {
-	if q.updates.Len() > 0 {
-		return q.updates.txns[0]
+	if q.updates.len() > 0 {
+		return q.updates.live()[0]
 	}
-	if q.queries.Len() > 0 {
-		return q.queries.txns[0]
+	if q.queries.len() > 0 {
+		return q.queries.live()[0]
 	}
 	return nil
 }
 
 // Remove unlinks t from the queue; it reports whether t was queued.
 func (q *Queue) Remove(t *txn.Txn) bool {
-	if !q.Contains(t) {
+	s := q.seqFor(t)
+	i := s.find(t)
+	if i < 0 {
 		return false
 	}
-	q.heapFor(t).remove(t.HeapIndex())
+	s.remove(i)
 	return true
 }
 
-// Updates returns the queued update transactions in arbitrary order. The
-// returned slice is freshly allocated.
-func (q *Queue) Updates() []*txn.Txn { return snapshot(q.updates.txns) }
-
-// Queries returns the queued user queries in arbitrary order. The returned
-// slice is freshly allocated.
-func (q *Queue) Queries() []*txn.Txn { return snapshot(q.queries.txns) }
-
-// AppendQueries appends the queued user queries to buf (arbitrary order)
-// and returns the extended buffer — the allocation-free counterpart of
-// Queries for per-decision scans.
-func (q *Queue) AppendQueries(buf []*txn.Txn) []*txn.Txn {
-	return append(buf, q.queries.txns...)
-}
+// EDFQueries returns the queued user queries in dispatch order (sorted
+// under Txn.HigherPriority). The slice is the queue's own storage: the
+// caller must not modify it, and it is valid only until the next Push,
+// Pop or Remove.
+func (q *Queue) EDFQueries() []*txn.Txn { return q.queries.live() }
 
 // UpdateBacklog returns the total remaining service demand of queued
 // updates; queries dispatch only after all of it.
 func (q *Queue) UpdateBacklog() float64 {
 	sum := 0.0
-	for _, t := range q.updates.txns {
+	for _, t := range q.updates.live() {
 		sum += t.Remaining
 	}
 	return sum
@@ -120,7 +114,7 @@ func (q *Queue) UpdateBacklog() float64 {
 // ExpiredQueries returns queued queries whose firm deadline has passed.
 func (q *Queue) ExpiredQueries(now float64) []*txn.Txn {
 	var out []*txn.Txn
-	for _, t := range q.queries.txns {
+	for _, t := range q.queries.live() {
 		if t.Expired(now) {
 			out = append(out, t)
 		}
@@ -128,110 +122,89 @@ func (q *Queue) ExpiredQueries(now float64) []*txn.Txn {
 	return out
 }
 
-func (q *Queue) heapFor(t *txn.Txn) *classHeap {
+func (q *Queue) seqFor(t *txn.Txn) *edfSeq {
 	if t.Class == txn.ClassUpdate {
 		return &q.updates
 	}
 	return &q.queries
 }
 
-func snapshot(ts []*txn.Txn) []*txn.Txn {
-	out := make([]*txn.Txn, len(ts))
-	copy(out, ts)
-	return out
-}
-
-// classHeap is a deadline-ordered binary heap of one transaction class.
-// It is hand-rolled rather than driven through container/heap so the
-// sift operations call Txn.HigherPriority directly instead of going
-// through heap.Interface dispatch on the engine's hottest path.
-type classHeap struct {
+// edfSeq is one class's transactions, txns[head:] sorted under
+// Txn.HigherPriority. Slots below head are popped and nil.
+type edfSeq struct {
 	txns []*txn.Txn
+	head int
 }
 
-func (h *classHeap) Len() int { return len(h.txns) }
+func (s *edfSeq) len() int { return len(s.txns) - s.head }
 
-// push appends t and restores the heap order, recording heap indexes.
-func (h *classHeap) push(t *txn.Txn) {
-	t.SetHeapIndex(len(h.txns))
-	h.txns = append(h.txns, t)
-	h.up(len(h.txns) - 1)
-}
+func (s *edfSeq) live() []*txn.Txn { return s.txns[s.head:] }
 
-// pop removes and returns the root (highest-priority) transaction.
-func (h *classHeap) pop() *txn.Txn {
-	t := h.txns[0]
-	n := len(h.txns) - 1
-	h.txns[0] = h.txns[n]
-	h.txns[0].SetHeapIndex(0)
-	h.txns[n] = nil
-	h.txns = h.txns[:n]
-	if n > 0 {
-		h.down(0)
+// search returns the number of live transactions that dispatch strictly
+// before t — the position t occupies, or would be inserted at.
+func (s *edfSeq) search(t *txn.Txn) int {
+	live := s.live()
+	lo, hi := 0, len(live)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if live[mid].HigherPriority(t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	t.SetHeapIndex(-1)
+	return lo
+}
+
+// find returns t's index in live(), or -1 when t is not queued.
+func (s *edfSeq) find(t *txn.Txn) int { return s.findFrom(s.search(t), t) }
+
+// findFrom looks for t itself from its search position i on. Distinct
+// transactions normally have distinct keys and the first probe decides;
+// the loop covers a run of equal keys so membership stays exact.
+func (s *edfSeq) findFrom(i int, t *txn.Txn) int {
+	live := s.live()
+	for ; i < len(live) && !t.HigherPriority(live[i]); i++ {
+		if live[i] == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// insert places t at index i of live(). When the backing array is full
+// the popped slots below head are reclaimed before it is grown.
+func (s *edfSeq) insert(i int, t *txn.Txn) {
+	if s.head > 0 && len(s.txns) == cap(s.txns) {
+		n := copy(s.txns, s.live())
+		clear(s.txns[n:])
+		s.txns, s.head = s.txns[:n], 0
+	}
+	s.txns = append(s.txns, nil)
+	live := s.live()
+	copy(live[i+1:], live[i:])
+	live[i] = t
+}
+
+// pop removes and returns the first live transaction.
+func (s *edfSeq) pop() *txn.Txn {
+	t := s.txns[s.head]
+	s.txns[s.head] = nil
+	s.head++
+	if s.head == len(s.txns) {
+		s.txns, s.head = s.txns[:0], 0
+	}
 	return t
 }
 
-// remove unlinks the transaction at index i.
-func (h *classHeap) remove(i int) {
-	n := len(h.txns) - 1
-	t := h.txns[i]
-	if i != n {
-		h.txns[i] = h.txns[n]
-		h.txns[i].SetHeapIndex(i)
-		h.txns[n] = nil
-		h.txns = h.txns[:n]
-		if !h.down(i) {
-			h.up(i)
-		}
-	} else {
-		h.txns[n] = nil
-		h.txns = h.txns[:n]
+// remove unlinks the transaction at index i of live().
+func (s *edfSeq) remove(i int) {
+	if i == 0 {
+		s.pop()
+		return
 	}
-	t.SetHeapIndex(-1)
-}
-
-// up sifts the element at index i toward the root.
-func (h *classHeap) up(i int) {
-	t := h.txns[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := h.txns[parent]
-		if !t.HigherPriority(p) {
-			break
-		}
-		h.txns[i] = p
-		p.SetHeapIndex(i)
-		i = parent
-	}
-	h.txns[i] = t
-	t.SetHeapIndex(i)
-}
-
-// down sifts the element at index i toward the leaves; it reports whether
-// the element moved.
-func (h *classHeap) down(i int) bool {
-	t := h.txns[i]
-	start := i
-	n := len(h.txns)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h.txns[r].HigherPriority(h.txns[child]) {
-			child = r
-		}
-		c := h.txns[child]
-		if !c.HigherPriority(t) {
-			break
-		}
-		h.txns[i] = c
-		c.SetHeapIndex(i)
-		i = child
-	}
-	h.txns[i] = t
-	t.SetHeapIndex(i)
-	return i != start
+	live := s.live()
+	copy(live[i:], live[i+1:])
+	s.txns[len(s.txns)-1] = nil
+	s.txns = s.txns[:len(s.txns)-1]
 }

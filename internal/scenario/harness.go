@@ -40,7 +40,6 @@ type observer struct {
 	e        *engine.Engine
 	windows  []usm.Counts
 	maxQueue int
-	buf      []*txn.Txn
 }
 
 func (p *observer) Attach(e *engine.Engine) {
@@ -58,8 +57,7 @@ func (p *observer) OnQueryDone(q *txn.Txn) {
 }
 
 func (p *observer) OnControlTick() {
-	p.buf = p.e.AppendQueuedQueries(p.buf[:0])
-	if n := len(p.buf); n > p.maxQueue {
+	if n := len(p.e.QueuedQueries()); n > p.maxQueue {
 		p.maxQueue = n
 	}
 	p.Policy.OnControlTick()

@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"unitdb/internal/txn"
 )
 
 // TestPanicContainment: a query whose work panics records as DMF, the
@@ -97,7 +100,7 @@ func TestCancellationSkipsWorker(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 1
+		return s.queue.Len() == 1
 	})
 	before := s.Stats().Counts
 	cancel()
@@ -177,7 +180,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 2
+		return s.queue.Len() == 2
 	})
 
 	drained := s.Stats() // snapshot before Close wipes the queue length
@@ -237,7 +240,7 @@ func TestShedCounter(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 1
+		return s.queue.Len() == 1
 	})
 	resp := s.Query(QueryRequest{Items: []int{2}, Deadline: time.Minute, Work: time.Millisecond})
 	if resp.Outcome != OutcomeRejected {
@@ -263,6 +266,126 @@ func TestRetryAfterBounds(t *testing.T) {
 	s.mu.Lock()
 	s.backlog = 0
 	s.mu.Unlock()
+}
+
+// TestDequeueByIdentityAmongEqualDeadlines: when many queued queries share
+// one deadline (so the ready queue orders them by id alone), a client
+// disconnect and a firm-deadline expiry must each unlink exactly their own
+// query — never a neighbour with the same deadline — and the rest must
+// still run, in id order.
+func TestDequeueByIdentityAmongEqualDeadlines(t *testing.T) {
+	const n, cancelItem, expireItem = 12, 5, 9
+	var mu sync.Mutex
+	var ran []int
+	release := make(chan struct{})
+	s := newTestServer(t, func(cfg *Config) {
+		cfg.Workers = 1
+		cfg.QueryWork = func(req QueryRequest) {
+			if req.Items[0] == 0 {
+				<-release // the blocker holds the sole worker
+				return
+			}
+			mu.Lock()
+			ran = append(ran, req.Items[0])
+			mu.Unlock()
+		}
+	})
+	queued := func() []int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var items []int
+		for _, tx := range s.queue.EDFQueries() {
+			items = append(items, tx.Owner.(*liveQuery).req.Items[0])
+		}
+		return items
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.Query(QueryRequest{Items: []int{0}, Deadline: time.Minute, Work: time.Millisecond})
+	}()
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.running > 0
+	})
+
+	// Queue items 1..n one at a time, so ids follow item numbers.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resps := make([]QueryResponse, n+1)
+	for item := 1; item <= n; item++ {
+		req := QueryRequest{Items: []int{item}, Deadline: time.Minute, Work: time.Millisecond}
+		qctx := context.Background()
+		switch item {
+		case cancelItem:
+			qctx = ctx
+		case expireItem:
+			req.Deadline = 800 * time.Millisecond
+		}
+		wg.Add(1)
+		go func(item int) {
+			defer wg.Done()
+			resps[item] = s.QueryCtx(qctx, req)
+		}(item)
+		waitFor(t, func() bool { return len(queued()) == item })
+	}
+	// Give every queued transaction the same deadline: re-pushed, they sit
+	// in the queue as one run of equal deadlines.
+	s.mu.Lock()
+	shared := s.now() + 60
+	var txs []*txn.Txn
+	for tx := s.queue.Pop(); tx != nil; tx = s.queue.Pop() {
+		tx.Deadline = shared
+		txs = append(txs, tx)
+	}
+	for _, tx := range txs {
+		s.queue.Push(tx)
+	}
+	s.mu.Unlock()
+
+	without := func(items []int, drop ...int) []int {
+		var out []int
+		for _, it := range items {
+			if !slices.Contains(drop, it) {
+				out = append(out, it)
+			}
+		}
+		return out
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i + 1
+	}
+
+	cancel()
+	waitFor(t, func() bool { return len(queued()) == n-1 })
+	if got, want := queued(), without(all, cancelItem); !slices.Equal(got, want) {
+		t.Fatalf("after the disconnect the queue holds %v, want %v", got, want)
+	}
+	waitFor(t, func() bool { return len(queued()) == n-2 })
+	if got, want := queued(), without(all, cancelItem, expireItem); !slices.Equal(got, want) {
+		t.Fatalf("after the expiry the queue holds %v, want %v", got, want)
+	}
+
+	close(release)
+	wg.Wait()
+	for item := 1; item <= n; item++ {
+		want := OutcomeSuccess
+		switch item {
+		case cancelItem:
+			want = OutcomeCanceled
+		case expireItem:
+			want = OutcomeDMF
+		}
+		if resps[item].Outcome != want {
+			t.Errorf("item %d outcome = %s, want %s", item, resps[item].Outcome, want)
+		}
+	}
+	if want := without(all, cancelItem, expireItem); !slices.Equal(ran, want) {
+		t.Fatalf("work ran for %v, want %v in id order", ran, want)
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -28,6 +27,7 @@ import (
 	"unitdb/internal/datastore"
 	"unitdb/internal/obs/metrics"
 	"unitdb/internal/obs/trace"
+	"unitdb/internal/readyq"
 	"unitdb/internal/stats"
 	"unitdb/internal/txn"
 )
@@ -192,12 +192,14 @@ type WindowStats struct {
 	USM     float64    `json:"usm"`
 }
 
+// liveQuery is the per-request state behind a queued transaction; tx.Owner
+// points back at it, so a transaction popped from the ready queue finds its
+// request.
 type liveQuery struct {
-	req   QueryRequest
-	ctx   context.Context
-	tx    *txn.Txn
-	done  chan QueryResponse
-	index int
+	req  QueryRequest
+	ctx  context.Context
+	tx   *txn.Txn
+	done chan QueryResponse
 
 	// Wall-time stage stamps (seconds since server start), for the
 	// StageBreakdown finalized with the outcome. Both are written and read
@@ -222,31 +224,6 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 	}
 	b.Total = b.Sum()
 	return b
-}
-
-type queryHeap []*liveQuery
-
-func (h queryHeap) Len() int { return len(h) }
-func (h queryHeap) Less(i, j int) bool {
-	return h[i].tx.HigherPriority(h[j].tx)
-}
-func (h queryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *queryHeap) Push(x any) {
-	q := x.(*liveQuery)
-	q.index = len(*h)
-	*h = append(*h, q)
-}
-func (h *queryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	q := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return q
 }
 
 // Server is the live web-database. Create with New, stop with Close.
@@ -281,9 +258,9 @@ type Server struct {
 	acct  *usm.Accountant       // guarded by mu
 	rng   *stats.RNG            // guarded by mu
 
-	queue   queryHeap // guarded by mu
-	backlog float64   // guarded by mu; queued work, seconds
-	running float64   // guarded by mu; in-flight work, seconds
+	queue   *readyq.Queue // guarded by mu; queries only (updates apply inline)
+	backlog float64       // guarded by mu; queued work, seconds
+	running float64       // guarded by mu; in-flight work, seconds
 
 	lastApplied   []time.Time  // guarded by mu
 	lastArrival   []time.Time  // guarded by mu
@@ -373,6 +350,7 @@ func New(cfg Config) (*Server, error) {
 		lbc:          control.New(cfg.Weights, rng.Split()),
 		acct:         usm.NewAccountant(cfg.Weights),
 		rng:          rng,
+		queue:        readyq.New(),
 		lastApplied:  make([]time.Time, cfg.NumItems),
 		lastArrival:  make([]time.Time, cfg.NumItems),
 		interArrival: make([]stats.EWMA, cfg.NumItems),
@@ -411,7 +389,8 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.stopCh)
-	for _, q := range s.queue {
+	for tx := s.queue.Pop(); tx != nil; tx = s.queue.Pop() {
+		q := tx.Owner.(*liveQuery)
 		s.drained++
 		s.obs.drained.Inc()
 		s.backlog -= q.req.Work.Seconds()
@@ -419,7 +398,6 @@ func (s *Server) Close() {
 		s.finalizeLocked(q.tx, txn.OutcomeRejected, st)
 		q.done <- QueryResponse{Outcome: OutcomeRejected, Query: q.tx.ID, Stages: st}
 	}
-	s.queue = nil
 	s.queueGaugesLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -446,24 +424,8 @@ func (s *Server) slowTop(n int) []slowEntry { return s.obs.slow.topN(n) }
 // queueGaugesLocked refreshes the queue-shape gauges. Called at every
 // mutation of the ready queue so a /metrics scrape never needs s.mu.
 func (s *Server) queueGaugesLocked() {
-	s.obs.queueLen.Set(float64(len(s.queue)))
+	s.obs.queueLen.Set(float64(s.queue.Len()))
 	s.obs.backlog.Set(s.backlog)
-}
-
-// queueView adapts the live queue to admission.QueueView.
-type queueView struct {
-	running float64
-	queued  []*txn.Txn
-}
-
-func (v queueView) RunningRemaining() float64 { return v.running }
-func (v queueView) UpdateBacklog() float64    { return 0 } // updates apply inline
-func (v queueView) QueuedQueries() []*txn.Txn { return v.queued }
-
-// AppendQueuedQueries implements admission.BulkView: the controller
-// reuses its own scratch buffer instead of copying v.queued again.
-func (v queueView) AppendQueuedQueries(buf []*txn.Txn) []*txn.Txn {
-	return append(buf, v.queued...)
 }
 
 // Query submits a user query and blocks until it resolves (success, any
@@ -510,11 +472,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	s.nextID++
 	tx := txn.NewQuery(s.nextID, now, req.Items, req.Work.Seconds(), req.Deadline.Seconds(), req.Freshness)
 	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindArrive, Query: tx.ID, Items: len(tx.Items), Deadline: tx.Deadline})
-	view := queueView{running: s.running, queued: make([]*txn.Txn, 0, len(s.queue))}
-	for _, q := range s.queue {
-		view.queued = append(view.queued, q.tx)
-	}
-	if len(s.queue) >= s.cfg.MaxQueue {
+	if s.queue.Len() >= s.cfg.MaxQueue {
 		// Overload backstop, distinct from the algorithm's admission gate.
 		s.shed++
 		s.obs.shed.Inc()
@@ -523,7 +481,9 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		s.mu.Unlock()
 		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: tx.ID}
 	}
-	if s.ac.Admit(now, tx, view) != admission.Admitted {
+	// Updates apply inline, so the only work ahead of the queue is what the
+	// workers are running; the walk reads the queue in place, under s.mu.
+	if s.ac.AdmitOrdered(now, tx, s.running, s.queue.EDFQueries()) != admission.Admitted {
 		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: tx.ID})
 		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
 		s.mu.Unlock()
@@ -531,7 +491,8 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	}
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindAdmit, Query: tx.ID})
 	q := &liveQuery{req: req, ctx: ctx, tx: tx, done: make(chan QueryResponse, 1), enqueuedAt: s.now()}
-	heap.Push(&s.queue, q)
+	tx.Owner = q
+	s.queue.Push(tx)
 	s.backlog += req.Work.Seconds()
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: tx.ID})
 	s.queueGaugesLocked()
@@ -541,8 +502,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	// dequeue removes q when it is still queued; ok=false means a worker
 	// got to it first (or shutdown drained it) and its verdict is coming.
 	dequeue := func() bool {
-		if q.index >= 0 && q.index < len(s.queue) && s.queue[q.index] == q {
-			heap.Remove(&s.queue, q.index)
+		if s.queue.Remove(tx) {
 			s.backlog -= q.req.Work.Seconds()
 			s.queueGaugesLocked()
 			return true
@@ -707,7 +667,7 @@ func (s *Server) statsLocked() Stats {
 		DegradedItems:     s.mod.DegradedCount(),
 		UpdatesApplied:    s.updatesApplied,
 		UpdatesDropped:    s.updatesDropped,
-		QueueLength:       len(s.queue),
+		QueueLength:       s.queue.Len(),
 		StaleItems:        s.store.StaleItems(),
 		RetryAfterSeconds: s.retryAfterLocked().Seconds(),
 
@@ -802,14 +762,14 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for s.queue.Len() == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		q := heap.Pop(&s.queue).(*liveQuery)
+		q := s.queue.Pop().Owner.(*liveQuery)
 		s.backlog -= q.req.Work.Seconds()
 		s.queueGaugesLocked()
 		if q.ctx != nil && q.ctx.Err() != nil {

@@ -99,13 +99,18 @@ type Txn struct {
 	// A restart resamples because the transaction re-reads from scratch.
 	ReadFreshness float64
 	readSampled   bool
+	// blocked is the engine's lock-wait mark; it sits beside readSampled so
+	// the two flags share a word.
+	blocked bool
 
 	// Outcome is set exactly once when the transaction leaves the system.
 	Outcome Outcome
 
-	// scheduling bookkeeping, owned by the ready queue and engine
-	heapIndex int
-	blocked   bool
+	// Owner is an opaque back-pointer for the driver that built the
+	// transaction: the live server hangs its per-request state here, so a
+	// transaction popped from the shared ready queue finds its request
+	// without a side map. The simulator leaves it nil.
+	Owner any
 }
 
 // NewQuery builds a user query transaction. Deadline is arrival+rel.
@@ -122,7 +127,6 @@ func NewQuery(id int64, arrival float64, items []int, exec, rel, freshReq float6
 		FreshReq:    freshReq,
 		EstExec:     exec,
 		PrefClass:   -1,
-		heapIndex:   -1,
 	}
 }
 
@@ -137,7 +141,6 @@ func NewUpdate(id int64, arrival float64, item int, exec, deadline float64) *Txn
 		Exec:      exec,
 		Remaining: exec,
 		Items:     []int{item},
-		heapIndex: -1,
 	}
 }
 
@@ -174,14 +177,6 @@ func (t *Txn) ReadSampled() bool { return t.readSampled }
 
 // MarkReadSampled records that ReadFreshness holds this attempt's sample.
 func (t *Txn) MarkReadSampled() { t.readSampled = true }
-
-// HeapIndex returns the transaction's position in its ready-queue heap
-// (−1 when not queued). Owned by package readyq.
-func (t *Txn) HeapIndex() int { return t.heapIndex }
-
-// SetHeapIndex records the ready-queue heap position. Owned by package
-// readyq.
-func (t *Txn) SetHeapIndex(i int) { t.heapIndex = i }
 
 // Blocked reports whether the transaction is waiting on a lock.
 func (t *Txn) Blocked() bool { return t.blocked }
