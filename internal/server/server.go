@@ -510,6 +510,10 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		return false
 	}
 
+	// Stopped on every return: go.mod's go 1.22 timer semantics keep an
+	// un-stopped timer in the runtime's heap until it fires.
+	expiry := time.NewTimer(req.Deadline)
+	defer expiry.Stop()
 	select {
 	case resp := <-q.done:
 		resp.Latency = time.Since(started)
@@ -530,7 +534,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		resp := <-q.done
 		resp.Latency = time.Since(started)
 		return resp
-	case <-time.After(req.Deadline):
+	case <-expiry.C:
 		// Firm deadline: abort wherever the query is. A worker may resolve
 		// it concurrently; whoever finalizes first wins.
 		s.mu.Lock()
