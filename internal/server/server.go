@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -802,7 +803,7 @@ func (s *Server) worker() {
 		values := make(map[string]float64, len(q.req.Items))
 		for _, item := range q.req.Items {
 			v, _ := s.store.Get(item)
-			values[fmt.Sprintf("%d", item)] = v
+			values[strconv.Itoa(item)] = v
 			s.store.RecordAccess(item)
 		}
 		s.running += q.req.Work.Seconds()
