@@ -21,6 +21,8 @@ package readyq
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"unitdb/internal/txn"
 )
@@ -144,16 +146,7 @@ func (s *edfSeq) live() []*txn.Txn { return s.txns[s.head:] }
 // before t — the position t occupies, or would be inserted at.
 func (s *edfSeq) search(t *txn.Txn) int {
 	live := s.live()
-	lo, hi := 0, len(live)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if live[mid].HigherPriority(t) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return sort.Search(len(live), func(i int) bool { return !live[i].HigherPriority(t) })
 }
 
 // find returns t's index in live(), or -1 when t is not queued.
@@ -176,14 +169,9 @@ func (s *edfSeq) findFrom(i int, t *txn.Txn) int {
 // the popped slots below head are reclaimed before it is grown.
 func (s *edfSeq) insert(i int, t *txn.Txn) {
 	if s.head > 0 && len(s.txns) == cap(s.txns) {
-		n := copy(s.txns, s.live())
-		clear(s.txns[n:])
-		s.txns, s.head = s.txns[:n], 0
+		s.txns, s.head = slices.Delete(s.txns, 0, s.head), 0
 	}
-	s.txns = append(s.txns, nil)
-	live := s.live()
-	copy(live[i+1:], live[i:])
-	live[i] = t
+	s.txns = slices.Insert(s.txns, s.head+i, t)
 }
 
 // pop removes and returns the first live transaction.
@@ -203,8 +191,5 @@ func (s *edfSeq) remove(i int) {
 		s.pop()
 		return
 	}
-	live := s.live()
-	copy(live[i:], live[i+1:])
-	s.txns[len(s.txns)-1] = nil
-	s.txns = s.txns[:len(s.txns)-1]
+	s.txns = slices.Delete(s.txns, s.head+i, s.head+i+1)
 }
