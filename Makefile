@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check golden ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check bench-e2e-smoke golden ci
 
 all: build
 
@@ -126,10 +126,18 @@ bench-smoke:
 bench-check:
 	$(GO) run ./cmd/unitbench -check
 
+# Repository benchmark smoke (bench/, declared by BENCHMARK.json): every
+# workload for 2 s untraced then traced, with the per-run correctness
+# checks on, then the bench module's own vet and tests — it is a separate
+# Go module, so the root ./... patterns never reach it and an API change
+# that breaks it would otherwise go unseen.
+bench-e2e-smoke:
+	bash bench/run.sh -smoke && (cd bench && $(GO) vet ./... && $(GO) test ./...)
+
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel.
 golden:
 	$(GO) test ./internal/experiments/ -run TestGoldenQuickReplication -v
 
 # Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios obs-smoke
+ci: build lint test race chaos scenarios obs-smoke bench-e2e-smoke
