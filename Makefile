@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check bench-e2e-smoke golden ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke golden loc ci
 
 all: build
 
@@ -105,27 +105,6 @@ obs-smoke:
 	  -require unit_queries_total,unit_query_latency_seconds,unit_query_stage_seconds,unit_build_info,unit_usm_window,unit_usm,unit_admission_cflex,unit_queue_length,unit_lbc_decisions_total,unit_lbc_actions_total \
 	  -probe http://127.0.0.1:$(OBS_PORT)/debug/slow,http://127.0.0.1:$(OBS_PORT)/debug/trace
 
-# Benchmark harness (cmd/unitbench): run the full suite at a steady
-# benchtime and write the schema-versioned BENCH_results.json artifact
-# (timings + headline experiment USMs). BENCH_baseline.json is the
-# checked-in reference; regenerate it only on a quiet machine and review
-# the diff like code.
-BENCHTIME ?= 0.2s
-BENCHCOUNT ?= 3
-bench:
-	$(GO) run ./cmd/unitbench -out BENCH_results.json -benchtime $(BENCHTIME) -count $(BENCHCOUNT)
-
-bench-baseline:
-	$(GO) run ./cmd/unitbench -out BENCH_baseline.json -benchtime $(BENCHTIME) -count $(BENCHCOUNT)
-
-# CI smoke: a shorter sweep that still exercises every benchmark, writes
-# the artifact CI uploads, then gates it against the baseline.
-bench-smoke:
-	$(GO) run ./cmd/unitbench -out BENCH_results.json -benchtime 0.15s -count 2
-
-bench-check:
-	$(GO) run ./cmd/unitbench -check
-
 # Repository benchmark smoke (bench/, declared by BENCHMARK.json): every
 # workload for 2 s untraced then traced, with the per-run correctness
 # checks on, then the bench module's own vet and tests — it is a separate
@@ -138,6 +117,11 @@ bench-e2e-smoke:
 # checked-in golden JSON byte-for-byte, sequentially and in parallel.
 golden:
 	$(GO) test ./internal/experiments/ -run TestGoldenQuickReplication -v
+
+# Size of the root module: non-blank Go lines of tracked files outside
+# bench/ (a module of its own), split into non-test and test.
+loc:
+	@git ls-files -z '*.go' ':!bench' | xargs -0 awk 'NF { if (FILENAME ~ /_test\.go$$/) t++; else n++ } END { printf "non-test %d\ntest %d\ntotal %d\n", n, t, n + t }'
 
 # Everything CI runs, in CI's order.
 ci: build lint test race chaos scenarios obs-smoke bench-e2e-smoke

@@ -76,12 +76,14 @@ func (r Reason) String() string {
 // heterogeneous user preferences (multi-preference extension, paper §3.1).
 type Resolver func(*txn.Txn) usm.Weights
 
+// step is the TAC/LAC multiplicative step on C_flex: the paper's 10%.
+const step = 0.10
+
 // Controller is the admission-control state machine.
 type Controller struct {
 	weights usm.Weights
 	resolve Resolver
 	cflex   float64
-	step    float64
 	minFlex float64
 	maxFlex float64
 
@@ -97,16 +99,6 @@ type Controller struct {
 
 // Option configures a Controller.
 type Option func(*Controller)
-
-// WithStep overrides the TAC/LAC step (default 0.10, the paper's 10%).
-func WithStep(step float64) Option {
-	return func(c *Controller) {
-		if step <= 0 || step >= 1 {
-			panic(fmt.Sprintf("admission: step %v out of (0,1)", step))
-		}
-		c.step = step
-	}
-}
 
 // WithFlexBounds overrides the clamp range of C_flex (default [0.001, 16]).
 // The low floor matters: under a sustained update overload the backlog-based
@@ -134,7 +126,7 @@ func New(w usm.Weights, opts ...Option) *Controller {
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{weights: w, cflex: 1, step: 0.10, minFlex: 0.001, maxFlex: 16}
+	c := &Controller{weights: w, cflex: 1, minFlex: 0.001, maxFlex: 16}
 	c.resolve = func(*txn.Txn) usm.Weights { return c.weights }
 	for _, o := range opts {
 		o(c)
@@ -152,7 +144,7 @@ func (c *Controller) AtFloor() bool { return c.cflex <= c.minFlex }
 // Tighten applies a TAC signal: C_flex grows by the step, making the
 // deadline check stricter.
 func (c *Controller) Tighten() {
-	c.cflex *= 1 + c.step
+	c.cflex *= 1 + step
 	if c.cflex > c.maxFlex {
 		c.cflex = c.maxFlex
 	}
@@ -161,7 +153,7 @@ func (c *Controller) Tighten() {
 // Loosen applies an LAC signal: C_flex shrinks by the step, letting more
 // queries in.
 func (c *Controller) Loosen() {
-	c.cflex *= 1 - c.step
+	c.cflex *= 1 - step
 	if c.cflex < c.minFlex {
 		c.cflex = c.minFlex
 	}

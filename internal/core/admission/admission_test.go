@@ -194,8 +194,6 @@ func TestAdmitPanicsOnUpdate(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { New(usm.Weights{}, WithStep(0)) },
-		func() { New(usm.Weights{}, WithStep(1)) },
 		func() { New(usm.Weights{}, WithFlexBounds(0, 1)) },
 		func() { New(usm.Weights{}, WithFlexBounds(2, 1)) },
 		func() { New(usm.Weights{Cr: -1}) },

@@ -45,8 +45,7 @@ type Config struct {
 	// Seed drives the lottery and tie-breaking randomness.
 	Seed uint64
 
-	// AdmissionOptions and ModulatorOptions forward tuning knobs.
-	AdmissionOptions []admission.Option
+	// ModulatorOptions and ControlOptions forward tuning knobs.
 	ModulatorOptions []ufm.Option
 	ControlOptions   []control.Option
 }
@@ -115,8 +114,7 @@ func (u *UNIT) Attach(e *engine.Engine) {
 	u.mod = ufm.New(ideal, u.rng.Split(), u.cfg.ModulatorOptions...)
 	// Per-transaction weight resolution makes the system USM check honor
 	// heterogeneous user preferences (multi-preference extension, §3.1).
-	acOpts := append([]admission.Option{admission.WithResolver(e.WeightsFor)}, u.cfg.AdmissionOptions...)
-	u.ac = admission.New(u.cfg.Weights, acOpts...)
+	u.ac = admission.New(u.cfg.Weights, admission.WithResolver(e.WeightsFor))
 	u.lbc = control.New(u.cfg.Weights, u.rng.Split(), u.cfg.ControlOptions...)
 	u.lastEnqueued = make([]float64, w.NumItems)
 	for i := range u.lastEnqueued {

@@ -29,11 +29,8 @@ type Fig3Digest struct {
 }
 
 // Summary digests every artifact of one experiment run into a stable,
-// JSON-friendly form. It exists for two consumers: the golden replication
-// test pins the QuickConfig summary byte-for-byte (sequential and
-// parallel), and the benchmark harness records headline USM values next
-// to its timing numbers so a perf regression that changes results is
-// visible as such.
+// JSON-friendly form, which the golden replication test pins
+// byte-for-byte for the QuickConfig suite (sequential and parallel).
 type Summary struct {
 	Table1      []Table1Row      `json:"table1"`
 	Fig3        []Fig3Digest     `json:"fig3"`
@@ -105,22 +102,4 @@ func BuildSummary(cfg Config) (*Summary, error) {
 	s.Sensitivity = rows
 
 	return s, nil
-}
-
-// HeadlineUSM extracts, per artifact, the USM of the paper's headline
-// UNIT cell — the number a perf-regression report prints next to the
-// timing deltas so behavioural drift is visible alongside speed drift.
-func (s *Summary) HeadlineUSM() map[string]float64 {
-	out := map[string]float64{}
-	for _, c := range s.Fig4 {
-		if c.Cell == "med-unif/UNIT" {
-			out["fig4/med-unif/UNIT"] = c.USM
-		}
-	}
-	for _, c := range s.Fig5 {
-		if c.Cell == "lo-highCr/UNIT" {
-			out["fig5/lo-highCr/UNIT"] = c.USM
-		}
-	}
-	return out
 }

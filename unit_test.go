@@ -4,6 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"unitdb/internal/core"
+	"unitdb/internal/core/ufm"
+	"unitdb/internal/engine"
 	"unitdb/internal/workload"
 )
 
@@ -88,6 +91,63 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.USM != b.USM || a.Counts != b.Counts {
 		t.Fatalf("identical configs diverged: %v vs %v", a.Counts, b.Counts)
+	}
+}
+
+// TestAblationPairs pins the two engine-level ablations on the
+// QuickConfig med-unif trace: UNIT against the admit-everything,
+// apply-everything policy (IMU), and UFM's lottery victim selection (the
+// paper's choice, §5) against deterministic stride scheduling. Both runs
+// are deterministic, so the USMs are pinned exactly.
+func TestAblationPairs(t *testing.T) {
+	cfg := QuickConfig()
+	w, err := BuildWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policyUSM := func(p PolicyName) float64 {
+		c := cfg
+		c.Policy = p
+		r, err := RunWorkload(c, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.USM
+	}
+	victimUSM := func(opts ...ufm.Option) float64 {
+		pcfg := core.DefaultConfig(Weights{})
+		pcfg.ModulatorOptions = opts
+		e, err := engine.New(engine.NewConfig(w, Weights{}, 7), core.New(pcfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.USM
+	}
+	unitUSM, noControl := policyUSM(PolicyUNIT), policyUSM(PolicyIMU)
+	lottery, stride := victimUSM(), victimUSM(ufm.WithStrideSelection(0))
+
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"UNIT", unitUSM, 0.6},
+		{"no-control", noControl, 0.24909090909090909},
+		{"lottery", lottery, 0.6},
+		{"stride", stride, 0.5871818181818181},
+	} {
+		if c.got != c.want {
+			t.Errorf("USM(%s) = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if unitUSM <= noControl {
+		t.Errorf("USM(UNIT) %v not above USM(no-control) %v", unitUSM, noControl)
+	}
+	if lottery <= stride {
+		t.Errorf("USM(lottery) %v not above USM(stride) %v", lottery, stride)
 	}
 }
 
