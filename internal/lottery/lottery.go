@@ -8,7 +8,10 @@
 // shifts them by the minimum before drawing). The segment tree keeps the
 // sum and minimum of tickets per subtree, so both the shift and the draw
 // are O(log N) — matching the complexity the paper cites for lottery
-// scheduling — without ever materializing the shifted ticket vector.
+// scheduling — without ever materializing the shifted ticket vector. A
+// batch of draws (SampleN, one Degrade signal's worth) reads the shift and
+// total once and runs the descents branch-free, several variates
+// interleaved, over the unchanged tree.
 package lottery
 
 import (
@@ -134,37 +137,86 @@ func (s *Sampler) EffectiveTotal() float64 {
 
 // Sample draws one index using the uniform variate u in [0, 1). Items are
 // weighted by T_i − T_min; if that is zero for every item the draw is
-// uniform. It panics when u is outside [0, 1).
+// uniform. It panics when u is outside [0, 1). It is the one-lane case of
+// SampleN.
 func (s *Sampler) Sample(u float64) int {
-	if u < 0 || u >= 1 {
-		panic(fmt.Sprintf("lottery: uniform variate %v out of [0,1)", u))
+	us, out := [1]float64{u}, [1]int{}
+	s.SampleN(us[:], out[:])
+	return out[0]
+}
+
+// lanes is how many variates SampleN descends together. The lanes share
+// no state, so their load–compare–subtract chains overlap in the CPU.
+const lanes = 4
+
+// SampleN draws one index per variate into out: out[k] is exactly the
+// index Sample(us[k]) returns. The tree does not change inside a batch, so
+// the minimum and the shifted total are read once, and every variate then
+// takes one branch-free O(log N) root-to-leaf descent, lanes at a time. It
+// panics when out is shorter than us or a variate is outside [0, 1).
+func (s *Sampler) SampleN(us []float64, out []int) {
+	if len(out) < len(us) {
+		panic(fmt.Sprintf("lottery: %d outputs for %d variates", len(out), len(us)))
+	}
+	for _, u := range us {
+		if u < 0 || u >= 1 {
+			panic(fmt.Sprintf("lottery: uniform variate %v out of [0,1)", u))
+		}
 	}
 	gmin := s.nodes[1].min
 	total := s.nodes[1].sum - s.nodes[1].cnt*gmin
 	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) {
-		return int(u * float64(s.n)) // uniform fallback
-	}
-	r := u * total
-	node := 1
-	for node < s.size {
-		l := 2 * node
-		ln := &s.nodes[l]
-		effL := ln.sum - ln.cnt*gmin
-		if effL < 0 {
-			effL = 0 // guard against floating point drift
+		for k, u := range us {
+			out[k] = int(u * float64(s.n)) // uniform fallback
 		}
-		if r < effL {
-			node = l
-		} else {
-			r -= effL
-			node = l + 1
+		return
+	}
+	k := 0
+	for ; k+lanes <= len(us); k += lanes {
+		n0, r0 := 1, us[k]*total
+		n1, r1 := 1, us[k+1]*total
+		n2, r2 := 1, us[k+2]*total
+		n3, r3 := 1, us[k+3]*total
+		for n0 < s.size { // every leaf sits at the same depth
+			n0, r0 = s.down(n0, r0, gmin)
+			n1, r1 = s.down(n1, r1, gmin)
+			n2, r2 = s.down(n2, r2, gmin)
+			n3, r3 = s.down(n3, r3, gmin)
 		}
+		out[k], out[k+1], out[k+2], out[k+3] = s.leaf(n0), s.leaf(n1), s.leaf(n2), s.leaf(n3)
 	}
-	i := node - s.size
-	if i >= s.n { // drift into a padding leaf; clamp to last real item
-		i = s.n - 1
+	for ; k < len(us); k++ {
+		n, r := 1, us[k]*total
+		for n < s.size {
+			n, r = s.down(n, r, gmin)
+		}
+		out[k] = s.leaf(n)
 	}
-	return i
+}
+
+// down takes one level of the descent for the residual variate r: go left
+// iff r < effL, the left subtree's shifted weight, else subtract effL and
+// go right. The direction is a 0/1 integer and the subtraction is masked
+// by it, so there is no data-dependent branch, and r − 0 and r − effL are
+// the very values the branching form computes. effL is clamped at 0
+// against floating point drift; r never drops below 0, so the comparison
+// gives the same direction before the clamp, which keeps the clamp off
+// the path to the next level's load.
+func (s *Sampler) down(node int, r, gmin float64) (int, float64) {
+	l := 2 * node
+	ln := &s.nodes[l]
+	effL := ln.sum - ln.cnt*gmin
+	right := 0
+	if !(r < effL) {
+		right = 1
+	}
+	return l + right, r - math.Float64frombits(math.Float64bits(max(effL, 0))&-uint64(right))
+}
+
+// leaf maps a leaf node to its item index. Drift into a padding leaf
+// clamps to the last real item.
+func (s *Sampler) leaf(node int) int {
+	return min(node-s.size, s.n-1)
 }
 
 // Weight returns the shifted weight of item i, T_i − T_min, the quantity

@@ -156,6 +156,148 @@ func TestSampleAlwaysInRange(t *testing.T) {
 	}
 }
 
+// refSample is the branching root-to-leaf descent Sample used before the
+// batch draw: the specification SampleN must reproduce bit for bit.
+func refSample(s *Sampler, u float64) int {
+	gmin := s.nodes[1].min
+	total := s.nodes[1].sum - s.nodes[1].cnt*gmin
+	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) {
+		return int(u * float64(s.n))
+	}
+	r := u * total
+	node := 1
+	for node < s.size {
+		l := 2 * node
+		effL := s.nodes[l].sum - s.nodes[l].cnt*gmin
+		if effL < 0 {
+			effL = 0
+		}
+		if r < effL {
+			node = l
+		} else {
+			r -= effL
+			node = l + 1
+		}
+	}
+	return min(node-s.size, s.n-1)
+}
+
+func TestSampleNMatchesSample(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 1 + rng.Intn(70) // mostly not a power of two
+		s := NewSampler(n)
+		switch rng.Intn(5) {
+		case 0: // all equal: the uniform fallback
+			v := rng.Normal(0, 5)
+			for i := 0; i < n; i++ {
+				s.Set(i, v)
+			}
+		case 1: // all equal but one: a single item carries the whole weight
+			v := rng.Normal(0, 5)
+			for i := 0; i < n; i++ {
+				s.Set(i, v)
+			}
+			s.Set(rng.Intn(n), v+rng.Float64())
+		case 2: // all negative
+			for i := 0; i < n; i++ {
+				s.Set(i, -1-rng.Float64()*10)
+			}
+		default: // mixed signs over several magnitudes
+			scale := math.Pow(10, float64(rng.Intn(7)-3))
+			for i := 0; i < n; i++ {
+				s.Set(i, rng.Normal(0, scale))
+			}
+		}
+		// Variates at the edges of [0, 1) and exactly on the cumulative
+		// weight boundaries, where the < versus >= choice decides the item.
+		us := []float64{0, math.SmallestNonzeroFloat64, 1e-12, 0.5, 1 - 1e-12, math.Nextafter(1, 0)}
+		if total := s.EffectiveTotal(); total > 0 {
+			cum := 0.0
+			for i := 0; i < n; i++ {
+				cum += s.Weight(i)
+				u := cum / total
+				for _, v := range []float64{math.Nextafter(u, 0), u, math.Nextafter(u, 1)} {
+					if v < 1 {
+						us = append(us, v)
+					}
+				}
+			}
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			us = append(us, rng.Float64())
+		}
+		// Every batch length up to len(us), so the lane tail is exercised
+		// at each remainder.
+		out := make([]int, len(us))
+		for b := 0; b <= len(us); b++ {
+			s.SampleN(us[:b], out)
+			for k, u := range us[:b] {
+				if out[k] != s.Sample(u) || out[k] != refSample(s, u) {
+					t.Logf("n=%d u=%v: SampleN %d, Sample %d, reference %d", n, u, out[k], s.Sample(u), refSample(s, u))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSampleNPanics(t *testing.T) {
+	s := NewSampler(2)
+	for name, fn := range map[string]func(){
+		"short out":   func() { s.SampleN([]float64{0.1, 0.2}, make([]int, 1)) },
+		"bad variate": func() { s.SampleN([]float64{0.1, 0.2, 0.3, 0.4, 1}, make([]int, 5)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SampleN with %s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// sampleSink keeps the benchmarked draws live.
+var sampleSink int
+
+func BenchmarkSample(b *testing.B) {
+	s, us, _ := benchLedger()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range us {
+			sampleSink += s.Sample(u)
+		}
+	}
+}
+
+// BenchmarkSampleN is one Degrade signal's batch: 1,024 draws over 1,024
+// items.
+func BenchmarkSampleN(b *testing.B) {
+	s, us, out := benchLedger()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleN(us, out)
+	}
+}
+
+func benchLedger() (*Sampler, []float64, []int) {
+	const n = 1024
+	rng := stats.NewRNG(1)
+	s := NewSampler(n)
+	us := make([]float64, n)
+	for i := range us {
+		s.Set(i, rng.Normal(0, 5))
+		us[i] = rng.Float64()
+	}
+	return s, us, make([]int, n)
+}
+
 func TestSamplePanicsOnBadVariate(t *testing.T) {
 	s := NewSampler(2)
 	for _, u := range []float64{-0.1, 1.0, 2.0} {
