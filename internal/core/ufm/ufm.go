@@ -58,16 +58,20 @@ type Modulator struct {
 	maxDegrade float64
 	gate       float64 // eligibility threshold as a fraction of (mean−min)
 
-	degraded    map[int]struct{}
-	degrades    int // cumulative degrade steps applied
-	upgrades    int // cumulative upgrade sweeps
-	updatesSeen int // source updates folded into tickets
-	queriesSeen int // query accesses folded into tickets
+	degraded    []bool // item i runs above its ideal period
+	nDegraded   int    // count of true entries in degraded
+	degrades    int    // cumulative degrade steps applied
+	upgrades    int    // cumulative upgrade sweeps
+	updatesSeen int    // source updates folded into tickets
+	queriesSeen int    // query accesses folded into tickets
 
 	useStride          bool
 	stride             *lottery.Stride
 	strideAge          int // draws since the stride weights were rebuilt
 	strideRebuildEvery int
+
+	us      []float64 // DegradeN's variates, reused across batches
+	victims []int     // DegradeN's draws, reused across batches
 }
 
 // Option configures a Modulator.
@@ -143,7 +147,7 @@ func New(idealPeriods []float64, rng *stats.RNG, opts ...Option) *Modulator {
 		cuu:        DefaultCUu,
 		maxDegrade: DefaultMaxDegrade,
 		gate:       DefaultGate,
-		degraded:   make(map[int]struct{}),
+		degraded:   make([]bool, len(idealPeriods)),
 	}
 	for i, p := range idealPeriods {
 		if p <= 0 {
@@ -187,7 +191,7 @@ func (m *Modulator) Period(i int) float64 { return m.current[i] }
 
 // DegradedCount returns how many items currently run above their ideal
 // period.
-func (m *Modulator) DegradedCount() int { return len(m.degraded) }
+func (m *Modulator) DegradedCount() int { return m.nDegraded }
 
 // Stats returns cumulative degrade steps and upgrade sweeps.
 func (m *Modulator) Stats() (degrades, upgrades int) { return m.degrades, m.upgrades }
@@ -227,14 +231,28 @@ func (m *Modulator) EventsSeen() (updates, queries int) {
 // is false when no item is eligible (all tickets equal and none updated).
 func (m *Modulator) Degrade() (victim int, ok bool) {
 	i := m.drawVictim()
+	return i, m.stretch(i, m.threshold())
+}
+
+// threshold returns the ticket a drawn item must reach to be degraded:
+// the minimum plus gate·(mean − min). Only the ticket ledger enters it, and
+// a Degrade batch leaves the ledger alone.
+func (m *Modulator) threshold() float64 {
+	mean := m.tickets.Sum() / float64(m.tickets.Len())
+	return m.tickets.Min() + m.gate*(mean-m.tickets.Min())
+}
+
+// stretch applies one draw of item i: unless the item has no updates or
+// the gate rejects it, its period grows by C_du up to the cap. It reports
+// whether the period was stretched.
+func (m *Modulator) stretch(i int, threshold float64) bool {
 	if math.IsInf(m.ideal[i], 1) {
 		// The item receives no updates; stretching its period is a no-op.
 		// Count it as a draw but report no victim.
-		return i, false
+		return false
 	}
-	mean := m.tickets.Sum() / float64(m.tickets.Len())
 	committed := m.current[i] > 2*m.ideal[i] // hysteresis: deep victims stay victims
-	if threshold := m.tickets.Min() + m.gate*(mean-m.tickets.Min()); m.gate > 0 && !committed && m.tickets.Ticket(i) < threshold {
+	if m.gate > 0 && !committed && m.tickets.Ticket(i) < threshold {
 		// Reject draws in the lower half of the ticket range (below the
 		// midpoint of the minimum and the mean). The paper's min-shift
 		// alone leaves every non-minimum item with some winning
@@ -249,15 +267,18 @@ func (m *Modulator) Degrade() (victim int, ok bool) {
 		// without that hysteresis, items whose tickets hover at the
 		// threshold churn between half-degraded and restored — paying for
 		// most of their updates while still serving stale reads.
-		return i, false
+		return false
 	}
 	m.current[i] *= 1 + m.cdu
 	if cap := m.ideal[i] * m.maxDegrade; m.current[i] > cap {
 		m.current[i] = cap
 	}
-	m.degraded[i] = struct{}{}
+	if !m.degraded[i] {
+		m.degraded[i] = true
+		m.nDegraded++
+	}
 	m.degrades++
-	return i, true
+	return true
 }
 
 // drawVictim picks a candidate index: a lottery draw over the min-shifted
@@ -299,11 +320,34 @@ func (m *Modulator) rebuildStride() {
 }
 
 // DegradeN performs n lottery draws (the controller's actuation batch).
-// It returns how many draws stretched a period.
+// It returns how many draws stretched a period. The batch changes no
+// ticket, so it equals n calls of Degrade: the n variates come off the rng
+// in the same order, one SampleN pass draws every victim over the
+// unchanged tree, and the victims are applied in draw order.
 func (m *Modulator) DegradeN(n int) int {
 	hit := 0
-	for k := 0; k < n; k++ {
-		if _, ok := m.Degrade(); ok {
+	if m.useStride {
+		for k := 0; k < n; k++ {
+			if _, ok := m.Degrade(); ok {
+				hit++
+			}
+		}
+		return hit
+	}
+	if n <= 0 {
+		return 0
+	}
+	if cap(m.us) < n {
+		m.us, m.victims = make([]float64, n), make([]int, n)
+	}
+	us, victims := m.us[:n], m.victims[:n]
+	for k := range us {
+		us[k] = m.rng.Float64()
+	}
+	m.tickets.SampleN(us, victims)
+	threshold := m.threshold()
+	for _, i := range victims {
+		if m.stretch(i, threshold) {
 			hit++
 		}
 	}
@@ -322,11 +366,15 @@ func (m *Modulator) DegradeN(n int) int {
 // degraded set. It returns how many items moved.
 func (m *Modulator) Upgrade() int {
 	moved := 0
-	for i := range m.degraded {
+	for i, d := range m.degraded {
+		if !d {
+			continue
+		}
 		next := m.current[i] - m.cuu*m.ideal[i]
 		if next <= m.ideal[i] {
 			next = m.ideal[i]
-			delete(m.degraded, i)
+			m.degraded[i] = false
+			m.nDegraded--
 		}
 		if next != m.current[i] {
 			moved++

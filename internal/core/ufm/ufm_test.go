@@ -294,6 +294,100 @@ func TestPeriodNeverBelowIdealProperty(t *testing.T) {
 	}
 }
 
+// TestDegradeNMatchesDegrade pins the batch draw to its definition: on a
+// twin built from the same ledger and seed, DegradeN(n) must leave exactly
+// the state n single Degrade calls leave — every period, the degraded set,
+// the counters, the hit count and the rng position.
+func TestDegradeNMatchesDegrade(t *testing.T) {
+	capped, committed := 0, 0 // coverage: items the equivalence met on the cap and past 2×
+	f := func(seed uint64, gateOff bool) bool {
+		rng := stats.NewRNG(seed)
+		n := 1 + rng.Intn(40)
+		periods := make([]float64, n)
+		for i := range periods {
+			periods[i] = 1 + rng.Float64()*100
+			if rng.Intn(5) == 0 {
+				periods[i] = math.Inf(1) // no feed: drawn but never stretched
+			}
+		}
+		var opts []Option
+		if gateOff {
+			opts = append(opts, WithGate(0))
+		}
+		rngA, rngB := stats.NewRNG(seed+1), stats.NewRNG(seed+1)
+		a, b := New(periods, rngA, opts...), New(periods, rngB, opts...)
+		for round := 0; round < 12; round++ {
+			for op := rng.Intn(4 * n); op > 0; op-- {
+				i, qe, qt, ue := rng.Intn(n), rng.Float64()*5, 1+rng.Float64()*10, rng.Float64()*10
+				if rng.Intn(2) == 0 {
+					a.OnQueryAccess(i, qe, qt)
+					b.OnQueryAccess(i, qe, qt)
+				} else {
+					a.OnUpdate(i, ue)
+					b.OnUpdate(i, ue)
+				}
+			}
+			// Batches large against n push items past the 2× hysteresis
+			// and onto the 64·pi cap; odd sizes leave a lane remainder.
+			batch := rng.Intn(30 * n)
+			hitA, hitB := a.DegradeN(batch), 0
+			for k := 0; k < batch; k++ {
+				if _, ok := b.Degrade(); ok {
+					hitB++
+				}
+			}
+			if hitA != hitB {
+				t.Logf("round %d: DegradeN hit %d, Degrade loop %d", round, hitA, hitB)
+				return false
+			}
+			if rng.Intn(3) == 0 && a.Upgrade() != b.Upgrade() {
+				return false
+			}
+			if !sameModState(t, a, b) {
+				return false
+			}
+			for i := 0; i < n; i++ {
+				if a.Period(i) == a.IdealPeriod(i)*DefaultMaxDegrade {
+					capped++
+				} else if a.Period(i) > 2*a.IdealPeriod(i) {
+					committed++
+				}
+			}
+		}
+		return rngA.Float64() == rngB.Float64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if capped == 0 || committed == 0 {
+		t.Fatalf("ledgers never reached the cap (%d) or the hysteresis band (%d)", capped, committed)
+	}
+}
+
+func sameModState(t *testing.T, a, b *Modulator) bool {
+	above := 0 // the degraded set is exactly the items above their ideal period
+	for i := 0; i < a.Len(); i++ {
+		if a.Period(i) != b.Period(i) {
+			t.Logf("item %d: period %v vs %v", i, a.Period(i), b.Period(i))
+			return false
+		}
+		if a.Period(i) > a.IdealPeriod(i) {
+			above++
+		}
+	}
+	if a.DegradedCount() != above {
+		t.Logf("DegradedCount %d, %d items above their ideal period", a.DegradedCount(), above)
+		return false
+	}
+	da, ua := a.Stats()
+	db, ub := b.Stats()
+	if a.DegradedCount() != b.DegradedCount() || da != db || ua != ub {
+		t.Logf("degraded %d vs %d, stats %d/%d vs %d/%d", a.DegradedCount(), b.DegradedCount(), da, ua, db, ub)
+		return false
+	}
+	return true
+}
+
 func TestStrideSelectionAblation(t *testing.T) {
 	// Stride selection must, like the lottery, direct degradation at the
 	// high-ticket (cold, update-heavy) items and spare the hot item.
