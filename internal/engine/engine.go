@@ -171,7 +171,7 @@ type Engine struct {
 	running  *txn.Txn        // owned by Run
 	runEvent *eventsim.Event // owned by Run
 	runStart float64         // owned by Run
-	tickFn   func()          // the one control-tick closure, reused every tick
+	tick     *eventsim.Event // owned by Run; the one control-tick event, re-armed every period
 
 	deadlineEvents map[*txn.Txn]*eventsim.Event // owned by Run
 	pendingUpdate  map[int]*txn.Txn             // owned by Run; latest enqueued-but-unapplied update per item
@@ -357,8 +357,7 @@ func (e *Engine) Run() (*Results, error) {
 		}
 	}
 	if p := e.policy.ControlPeriod(); p > 0 {
-		e.tickFn = func() { e.controlTick(p) }
-		e.sim.At(p, e.tickFn)
+		e.tick = e.sim.At(p, func() { e.controlTick(p) })
 	}
 	// Run the scheduled horizon, then drain in-flight work (no new
 	// arrivals are scheduled past the duration).
@@ -367,11 +366,15 @@ func (e *Engine) Run() (*Results, error) {
 	return e.results(), nil
 }
 
+// controlTick runs the policy's tick, then re-arms the tick event. The
+// re-arm comes after OnControlTick returns, so the next tick takes its
+// schedule order after everything the policy scheduled, as a fresh At
+// there would.
 func (e *Engine) controlTick(period float64) {
 	e.policy.OnControlTick()
 	next := e.sim.Now() + period
 	if next <= e.cfg.Workload.Duration {
-		e.sim.At(next, e.tickFn)
+		e.sim.Rearm(e.tick, next)
 	}
 }
 

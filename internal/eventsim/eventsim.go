@@ -41,31 +41,43 @@ func (s *Sim) Now() float64 { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Sim) Fired() int64 { return s.fired }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, e := range s.events {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
+// Pending returns the number of scheduled, uncancelled events. Cancel
+// unlinks a queued event at once, so the heap holds no cancelled event.
+func (s *Sim) Pending() int { return len(s.events) }
 
 // At schedules fn at absolute time t. Events scheduled for the current
 // instant run after the currently executing event returns. Scheduling in
 // the past panics — it would silently corrupt causality.
 func (s *Sim) At(t float64, fn func()) *Event {
+	e := &Event{fn: fn}
+	s.schedule(e, t)
+	return e
+}
+
+// Rearm reschedules e, which has already fired or been cancelled, at
+// absolute time t with its callback unchanged. It takes the next schedule
+// order exactly as At would, so a re-armed event fires where a fresh At
+// at that point would; a periodic event re-arming itself allocates
+// nothing. It panics when e is still queued, and on a past or non-finite
+// t as At does.
+func (s *Sim) Rearm(e *Event, t float64) {
+	if e.index >= 0 {
+		panic(fmt.Sprintf("eventsim: re-arming an event still queued for %v", e.time))
+	}
+	e.cancelled = false
+	s.schedule(e, t)
+}
+
+func (s *Sim) schedule(e *Event, t float64) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("eventsim: scheduling at non-finite time %v", t))
 	}
-	e := &Event{time: t, seq: s.nextID, fn: fn}
+	e.time, e.seq = t, s.nextID
 	s.nextID++
 	s.events.push(e)
-	return e
 }
 
 // After schedules fn after a delay d >= 0.
@@ -90,20 +102,17 @@ func (s *Sim) Cancel(e *Event) {
 
 // Step executes the next event. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.cancelled {
-			continue
-		}
-		if e.time < s.now {
-			panic("eventsim: time went backwards")
-		}
-		s.now = e.time
-		s.fired++
-		e.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := s.events.pop()
+	if e.time < s.now {
+		panic("eventsim: time went backwards")
+	}
+	s.now = e.time
+	s.fired++
+	e.fn()
+	return true
 }
 
 // Run executes events until the queue empties or the next event lies
@@ -111,15 +120,7 @@ func (s *Sim) Step() bool {
 // or exactly until when limited. It returns the number of events executed.
 func (s *Sim) Run(until float64) int64 {
 	start := s.fired
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.cancelled {
-			s.events.pop()
-			continue
-		}
-		if next.time > until {
-			break
-		}
+	for len(s.events) > 0 && s.events[0].time <= until {
 		s.Step()
 	}
 	if s.now < until {

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +63,94 @@ func TestCancel(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d", s.Pending())
+	}
+}
+
+// TestRearmMatchesFreshAt runs one program twice, once re-arming a
+// periodic event in place and once scheduling a fresh event each period,
+// and requires the same firing sequence. Work lands on the tick instants
+// from before the tick was armed, from inside the tick before its re-arm,
+// and from other events, so the (time, seq) tie-break decides the order.
+func TestRearmMatchesFreshAt(t *testing.T) {
+	type firing struct {
+		label int
+		at    float64
+	}
+	run := func(seed uint64, rearm bool) []firing {
+		rng := stats.NewRNG(seed)
+		s := New()
+		var log []firing
+		work := func(label int) func() {
+			return func() { log = append(log, firing{label, s.Now()}) }
+		}
+		for i := 0; i < 30; i++ {
+			s.At(float64(rng.Intn(20)), work(i))
+		}
+		const period = 2.0
+		var tick *Event
+		var fn func()
+		fn = func() {
+			log = append(log, firing{-1, s.Now()})
+			s.After(0, work(100))
+			s.After(period*float64(rng.Intn(2)), work(101))
+			if next := s.Now() + period; next <= 20 {
+				if rearm {
+					s.Rearm(tick, next)
+				} else {
+					s.At(next, fn)
+				}
+			}
+		}
+		tick = s.At(period, fn)
+		s.RunAll()
+		return log
+	}
+	f := func(seed uint64) bool {
+		a, b := run(seed, true), run(seed, false)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Logf("firing %d: re-armed %v, fresh %v", i, a[i], b[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRearmPanics(t *testing.T) {
+	s := New()
+	queued := s.At(5, func() {})
+	fired := s.At(1, func() {})
+	s.Run(2)
+	for name, fn := range map[string]func(){
+		"queued":     func() { s.Rearm(queued, 6) },
+		"past":       func() { s.Rearm(fired, 1) },
+		"non-finite": func() { s.Rearm(fired, math.Inf(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Rearm of a %s event did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	// A cancelled event is no longer queued and may be re-armed.
+	s.Cancel(queued)
+	ran := false
+	queued = s.At(3, func() { ran = true })
+	s.Cancel(queued)
+	s.Rearm(queued, 4)
+	s.RunAll()
+	if !ran || s.Pending() != 0 {
+		t.Fatalf("re-armed cancelled event: ran=%v pending=%d", ran, s.Pending())
 	}
 }
 
