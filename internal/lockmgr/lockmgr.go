@@ -13,6 +13,7 @@ package lockmgr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"unitdb/internal/txn"
@@ -69,8 +70,9 @@ type Result struct {
 // Manager is the lock table. It is not safe for concurrent use.
 type Manager struct {
 	entries map[int]*entry
-	held    map[*txn.Txn]map[int]Mode
-	waiting map[*txn.Txn]int // item each blocked transaction waits on
+	held    map[*txn.Txn][]int // items each transaction holds, in grant order
+	waiting map[*txn.Txn]int   // item each blocked transaction waits on
+	spare   [][]int            // emptied held lists, reused by the next holders
 
 	aborts int // cumulative HP aborts, for reporting
 }
@@ -79,7 +81,7 @@ type Manager struct {
 func New() *Manager {
 	return &Manager{
 		entries: make(map[int]*entry),
-		held:    make(map[*txn.Txn]map[int]Mode),
+		held:    make(map[*txn.Txn][]int),
 		waiting: make(map[*txn.Txn]int),
 	}
 }
@@ -89,8 +91,7 @@ func (m *Manager) HPAborts() int { return m.aborts }
 
 // Holds reports whether t currently holds a lock on item.
 func (m *Manager) Holds(t *txn.Txn, item int) bool {
-	_, ok := m.held[t][item]
-	return ok
+	return slices.Contains(m.held[t], item)
 }
 
 // Waiting reports whether t is blocked on some item, and which.
@@ -175,15 +176,16 @@ func higherThanAll(t *txn.Txn, holders []*txn.Txn) bool {
 	return true
 }
 
+// grant records t as a holder of item. The held list needs no mode: a
+// transaction's class fixes it (queries S, updates X).
 func (m *Manager) grant(t *txn.Txn, item int, mode Mode) {
-	e := m.entry(item)
-	e.holders[t] = mode
-	hm := m.held[t]
-	if hm == nil {
-		hm = make(map[int]Mode)
-		m.held[t] = hm
+	m.entry(item).holders[t] = mode
+	items := m.held[t]
+	if items == nil && len(m.spare) > 0 {
+		items = m.spare[len(m.spare)-1]
+		m.spare = m.spare[:len(m.spare)-1]
 	}
-	hm[item] = mode
+	m.held[t] = append(items, item)
 }
 
 func (m *Manager) addWaiter(e *entry, t *txn.Txn, mode Mode) {
@@ -221,18 +223,19 @@ func (m *Manager) releaseInternal(t *txn.Txn, res *Result) {
 		delete(m.waiting, t)
 		m.removeWaiter(m.entry(item), t)
 	}
-	items := make([]int, 0, len(m.held[t]))
-	for item := range m.held[t] {
-		items = append(items, item)
-	}
-	sort.Ints(items)
+	items := m.held[t]
 	delete(m.held, t)
+	sort.Ints(items)
 	for _, item := range items {
-		e := m.entry(item)
-		delete(e.holders, t)
+		delete(m.entry(item).holders, t)
 	}
 	for _, item := range items {
 		m.promote(item, res)
+	}
+	if items != nil {
+		// Promotions may release other transactions' lists in turn; this
+		// one is reused only once its own promotions are done.
+		m.spare = append(m.spare, items[:0])
 	}
 }
 
