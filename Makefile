@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke golden loc ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim golden loc ci
 
 all: build
 
@@ -113,6 +113,17 @@ obs-smoke:
 bench-e2e-smoke:
 	bash bench/run.sh -smoke && (cd bench && $(GO) vet ./... && $(GO) test ./...)
 
+# CPU and allocation profiles of the UNIT engine run
+# (BenchmarkEngineRun/UNIT) in profiles/ (the CI artifact), then the
+# CPU top 15. -o keeps the test binary, which pprof needs for symbols,
+# in profiles/ too rather than in the tree.
+PROFILE_BENCHTIME ?= 3s
+profile-sim:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^UNIT$$' -benchtime $(PROFILE_BENCHTIME) \
+	  -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -o profiles/engine.test ./internal/engine/
+	$(GO) tool pprof -top -nodecount=15 profiles/engine.test profiles/cpu.pprof
+
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel.
 golden:
@@ -124,4 +135,4 @@ loc:
 	@git ls-files -z '*.go' ':!bench' | xargs -0 awk 'NF { if (FILENAME ~ /_test\.go$$/) t++; else n++ } END { printf "non-test %d\ntest %d\ntotal %d\n", n, t, n + t }'
 
 # Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios obs-smoke bench-e2e-smoke
+ci: build lint test race chaos scenarios profile-sim obs-smoke bench-e2e-smoke
