@@ -1,6 +1,7 @@
 // Package eventsim is a small deterministic discrete-event simulation
 // kernel: a virtual clock and a time-ordered event heap with stable
-// tie-breaking (schedule order), cancellation, and run-until semantics.
+// tie-breaking (schedule order), cancellation, in-place re-arming of a
+// fired event, and run-until semantics.
 // The web-database engine is built on top of it.
 package eventsim
 
