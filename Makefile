@@ -114,15 +114,14 @@ bench-e2e-smoke:
 	bash bench/run.sh -smoke && (cd bench && $(GO) vet ./... && $(GO) test ./...)
 
 # CPU and allocation profiles of the UNIT engine run
-# (BenchmarkEngineRun/UNIT) in profiles/ (the CI artifact), then the
-# CPU top 15. -o keeps the test binary, which pprof needs for symbols,
-# in profiles/ too rather than in the tree.
-PROFILE_BENCHTIME ?= 3s
+# (BenchmarkEngineRun/UNIT) in profiles/ (the CI artifact). -o keeps
+# the test binary, which pprof needs for symbols, in profiles/ too
+# rather than in the tree. Read them with
+# `go tool pprof -top profiles/engine.test profiles/cpu.pprof`.
 profile-sim:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^UNIT$$' -benchtime $(PROFILE_BENCHTIME) \
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^UNIT$$' -benchtime 3s \
 	  -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -o profiles/engine.test ./internal/engine/
-	$(GO) tool pprof -top -nodecount=15 profiles/engine.test profiles/cpu.pprof
 
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel.
