@@ -296,10 +296,31 @@ func (m *Manager) WaiterCount(item int) int {
 }
 
 // CheckInvariants panics if the lock table is inconsistent: more than one
-// exclusive holder, shared/exclusive mixes, or a waiter that is compatible
-// with all holders (missed promotion). Used by tests and debug builds.
+// exclusive holder, shared/exclusive mixes, a waiter that is compatible
+// with all holders (missed promotion), or a transaction's held list that
+// disagrees with the per-item holders (an item listed twice, listed but
+// not held, or held but not listed). Used by tests and debug builds.
 func (m *Manager) CheckInvariants() {
+	for t, items := range m.held {
+		for i, item := range items {
+			if slices.Contains(items[:i], item) {
+				panic(fmt.Sprintf("lockmgr: %v lists item %d twice", t, item))
+			}
+			e := m.entries[item]
+			if e == nil {
+				panic(fmt.Sprintf("lockmgr: %v lists item %d it does not hold", t, item))
+			}
+			if mode, ok := e.holders[t]; !ok || mode != modeFor(t) {
+				panic(fmt.Sprintf("lockmgr: %v lists item %d it does not hold", t, item))
+			}
+		}
+	}
 	for item, e := range m.entries {
+		for h := range e.holders {
+			if !slices.Contains(m.held[h], item) {
+				panic(fmt.Sprintf("lockmgr: %v holds item %d but does not list it", h, item))
+			}
+		}
 		excl := 0
 		for _, mode := range e.holders {
 			if mode == Exclusive {

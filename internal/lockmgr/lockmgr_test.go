@@ -134,6 +134,34 @@ func TestMultiItemGrowingPhase(t *testing.T) {
 	m.CheckInvariants()
 }
 
+// A released held list goes back to the free list only after its own
+// promotions: reused earlier, a promoted waiter would overwrite the items
+// still being promoted. Updates lock one item in the workload, where the
+// early reuse happens to be harmless, so this widens one update to two.
+func TestReleasedListOutlivesItsPromotions(t *testing.T) {
+	m := New()
+	u := update(1, 5, 1)
+	u.Items = []int{1, 2}
+	q1 := query(2, 10, 1, 3) // waits on 1 holding nothing, then takes 3
+	q2 := query(3, 10, 2)
+	m.AcquireAll(u)
+	m.AcquireAll(q1)
+	m.AcquireAll(q2)
+	rel := m.ReleaseAll(u)
+	if len(rel.Unblocked) != 2 {
+		t.Fatalf("unblocked = %v, want q1 and q2", rel.Unblocked)
+	}
+	for _, h := range []struct {
+		q    *txn.Txn
+		item int
+	}{{q1, 1}, {q1, 3}, {q2, 2}} {
+		if !m.Holds(h.q, h.item) {
+			t.Fatalf("%v missing lock on %d", h.q, h.item)
+		}
+	}
+	m.CheckInvariants()
+}
+
 func TestWaiterPriorityOrder(t *testing.T) {
 	m := New()
 	holder := update(1, 1, 9)
