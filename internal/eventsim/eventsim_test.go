@@ -154,6 +154,23 @@ func TestRearmPanics(t *testing.T) {
 	}
 }
 
+// TestNewEventIsUnscheduled checks that an event from NewEvent stays out
+// of the queue until Rearm schedules it.
+func TestNewEventIsUnscheduled(t *testing.T) {
+	s := New()
+	var got []int
+	ev := s.NewEvent(func() { got = append(got, 1) })
+	s.At(2, func() { got = append(got, 0) })
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d after NewEvent, want 1", s.Pending())
+	}
+	s.Rearm(ev, 2)
+	s.RunAll()
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("firing order = %v, want [0 1]", got)
+	}
+}
+
 func TestCancelFromInsideEvent(t *testing.T) {
 	s := New()
 	fired := false

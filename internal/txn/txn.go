@@ -109,7 +109,8 @@ type Txn struct {
 	// Owner is an opaque back-pointer for the driver that built the
 	// transaction: the live server hangs its per-request state here, so a
 	// transaction popped from the shared ready queue finds its request
-	// without a side map. The simulator leaves it nil.
+	// without a side map. The simulator hangs an admitted query's pooled
+	// deadline timer here until the query resolves or is abandoned.
 	Owner any
 }
 
