@@ -81,13 +81,14 @@ scenarios:
 	tail -n 5 scenario-traces/critical-path.txt
 
 # Fuzz smoke: each target briefly, catching regressions in the HTTP
-# input contract and the shard router's partition/merge laws without an
-# open-ended fuzzing session.
+# input contract, the shard router's partition/merge laws and the event
+# kernel's schedule order without an open-ended fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzQueryHandler -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -fuzz=FuzzSchedule -fuzztime=$(FUZZTIME) ./internal/eventsim/
 
 # Observability smoke: boot unitd on an ephemeral local port, then lint
 # the /metrics exposition (cmd/obslint retries the fetch while the server

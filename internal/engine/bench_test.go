@@ -20,24 +20,24 @@ import (
 // benchTrace synthesizes one small med-unif trace shared by the
 // benchmarks below (2k queries — large enough to exercise steady state,
 // small enough for tight benchmark loops).
-func benchTrace(b *testing.B) *workload.Workload {
-	b.Helper()
+func benchTrace(tb testing.TB) *workload.Workload {
+	tb.Helper()
 	qc := workload.SmallQueryConfig()
 	qc.NumQueries = 2000
 	qc.Duration = 8000
 	q, err := workload.GenerateQueries(qc, 42)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w, err := workload.GenerateUpdates(q, workload.DefaultUpdateConfig(workload.Med, workload.Uniform), 43)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return w
 }
 
-func benchPolicy(b *testing.B, name string) engine.Policy {
-	b.Helper()
+func benchPolicy(tb testing.TB, name string) engine.Policy {
+	tb.Helper()
 	switch name {
 	case "IMU":
 		return baseline.NewIMU()
@@ -52,7 +52,7 @@ func benchPolicy(b *testing.B, name string) engine.Policy {
 		cfg.Seed = 1
 		return core.New(cfg)
 	default:
-		b.Fatalf("unknown policy %s", name)
+		tb.Fatalf("unknown policy %s", name)
 		return nil
 	}
 }
