@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim golden loc ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim profile-live golden loc ci
 
 all: build
 
@@ -124,6 +124,16 @@ profile-sim:
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^UNIT$$' -benchtime 3s \
 	  -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -o profiles/engine.test ./internal/engine/
 
+# CPU and allocation profiles of the live HTTP path (BenchmarkHTTPMix:
+# loopback, one keep-alive connection, zero-work queries with every
+# 16th call an update, as in the http-closed workload) beside the
+# simulator's, with the server test binary for symbols. Read them with
+# `go tool pprof -top profiles/server.test profiles/live-cpu.pprof`.
+profile-live:
+	mkdir -p profiles
+	$(GO) test -run '^$$' -bench '^BenchmarkHTTPMix$$' -benchtime 3s \
+	  -cpuprofile profiles/live-cpu.pprof -memprofile profiles/live-mem.pprof -o profiles/server.test ./internal/server/
+
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel.
 golden:
@@ -135,4 +145,4 @@ loc:
 	@git ls-files -z '*.go' ':!bench' | xargs -0 awk 'NF { if (FILENAME ~ /_test\.go$$/) t++; else n++ } END { printf "non-test %d\ntest %d\ntotal %d\n", n, t, n + t }'
 
 # Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios profile-sim obs-smoke bench-e2e-smoke
+ci: build lint test race chaos scenarios profile-sim profile-live obs-smoke bench-e2e-smoke
