@@ -49,6 +49,9 @@ func TestHTTPInputContract(t *testing.T) {
 		{"negative update item", "POST", "/update?item=-1&value=1", http.StatusBadRequest, "negative"},
 		{"update item out of range", "POST", "/update?item=999&value=1", http.StatusBadRequest, "range"},
 		{"bad update value", "POST", "/update?item=1&value=x", http.StatusBadRequest, "value"},
+		{"NaN update value", "POST", "/update?item=1&value=NaN", http.StatusBadRequest, "bad value"},
+		{"Inf update value", "POST", "/update?item=1&value=Inf", http.StatusBadRequest, "bad value"},
+		{"+Inf update value", "POST", "/update?item=1&value=%2BInf", http.StatusBadRequest, "bad value"},
 		{"bad update work", "POST", "/update?item=1&value=1&work=zzz", http.StatusBadRequest, "work"},
 		{"negative update work", "POST", "/update?item=1&value=1&work=-2ms", http.StatusBadRequest, "work"},
 		{"query ok", "GET", "/query?items=1", http.StatusOK, ""},

@@ -554,10 +554,14 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 }
 
 // Update ingests one update-feed write. It returns true when the update
-// was applied, false when modulation dropped it.
+// was applied, false when modulation dropped it. A NaN or infinite value
+// is refused: no query could return it, since JSON has no token for it.
 func (s *Server) Update(req UpdateRequest) (bool, error) {
 	if req.Item < 0 || req.Item >= s.cfg.NumItems {
 		return false, fmt.Errorf("server: item %d out of range", req.Item)
+	}
+	if math.IsNaN(req.Value) || math.IsInf(req.Value, 0) {
+		return false, fmt.Errorf("server: bad value %v: must be a finite number", req.Value)
 	}
 	s.mu.Lock()
 	if s.closed {

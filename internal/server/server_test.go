@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -57,6 +59,35 @@ func TestUpdateThenQueryReadsValue(t *testing.T) {
 	resp := s.Query(QueryRequest{Items: []int{5}, Deadline: time.Second})
 	if resp.Values["5"] != 42.5 {
 		t.Fatalf("read %v, want 42.5", resp.Values["5"])
+	}
+}
+
+// TestUpdateRefusesNonFiniteValues: a NaN or infinite write is refused
+// by both backends and leaves the stored value alone, so later queries of
+// the item still encode. Before the check such a write was applied and
+// every later /query of the item answered 200 with an empty body.
+func TestUpdateRefusesNonFiniteValues(t *testing.T) {
+	backends := map[string]backend{
+		"server":  newTestServer(t),
+		"sharded": newTestSharded(t, 2),
+	}
+	for name, b := range backends {
+		if _, err := b.Update(UpdateRequest{Item: 5, Value: 42.5}); err != nil {
+			t.Fatalf("%s: finite update: %v", name, err)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			applied, err := b.Update(UpdateRequest{Item: 5, Value: v})
+			if err == nil || applied || !strings.Contains(err.Error(), "bad value") {
+				t.Fatalf("%s: update to %v: applied=%v err=%v, want a bad value error", name, v, applied, err)
+			}
+		}
+		resp := b.QueryCtx(context.Background(), QueryRequest{Items: []int{5}, Deadline: time.Second})
+		if resp.Values["5"] != 42.5 {
+			t.Fatalf("%s: read %v, want 42.5", name, resp.Values["5"])
+		}
+		if _, err := json.Marshal(resp); err != nil {
+			t.Fatalf("%s: response no longer encodes: %v", name, err)
+		}
 	}
 }
 
