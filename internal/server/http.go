@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"unitdb/internal/obs/metrics"
@@ -79,12 +78,13 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	items, err := parseItems(r.URL.Query().Get("items"))
+	raw := r.URL.RawQuery
+	items, err := parseItems(queryParam(raw, "items"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	deadline, err := parseDurationDefault(r.URL.Query().Get("deadline"), time.Second)
+	deadline, err := parseDurationDefault(queryParam(raw, "deadline"), time.Second)
 	if err != nil {
 		http.Error(w, "bad deadline: "+err.Error(), http.StatusBadRequest)
 		return
@@ -93,7 +93,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad deadline: must not be negative", http.StatusBadRequest)
 		return
 	}
-	work, err := parseDurationDefault(r.URL.Query().Get("work"), 0)
+	work, err := parseDurationDefault(queryParam(raw, "work"), 0)
 	if err != nil {
 		http.Error(w, "bad work: "+err.Error(), http.StatusBadRequest)
 		return
@@ -103,7 +103,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fresh := 0.0
-	if f := r.URL.Query().Get("freshness"); f != "" {
+	if f := queryParam(raw, "freshness"); f != "" {
 		fresh, err = strconv.ParseFloat(f, 64)
 		if err != nil || math.IsNaN(fresh) || fresh <= 0 || fresh > 1 {
 			http.Error(w, "bad freshness: must be in (0, 1]", http.StatusBadRequest)
@@ -131,7 +131,8 @@ func (a *httpAPI) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	item, err := strconv.Atoi(r.URL.Query().Get("item"))
+	raw := r.URL.RawQuery
+	item, err := strconv.Atoi(queryParam(raw, "item"))
 	if err != nil {
 		http.Error(w, "bad item: must be an integer id", http.StatusBadRequest)
 		return
@@ -140,12 +141,12 @@ func (a *httpAPI) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad item: must not be negative", http.StatusBadRequest)
 		return
 	}
-	value, err := strconv.ParseFloat(r.URL.Query().Get("value"), 64)
+	value, err := strconv.ParseFloat(queryParam(raw, "value"), 64)
 	if err != nil {
 		http.Error(w, "bad value: must be a number", http.StatusBadRequest)
 		return
 	}
-	work, err := parseDurationDefault(r.URL.Query().Get("work"), 0)
+	work, err := parseDurationDefault(queryParam(raw, "work"), 0)
 	if err != nil {
 		http.Error(w, "bad work: "+err.Error(), http.StatusBadRequest)
 		return
@@ -168,7 +169,7 @@ func (a *httpAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	window := time.Duration(0)
-	if raw := r.URL.Query().Get("window"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "window"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d <= 0 {
 			http.Error(w, "bad window: must be a positive duration like 30s", http.StatusBadRequest)
@@ -194,7 +195,7 @@ func (a *httpAPI) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // parseN parses the n=K tail-length parameter of the debug endpoints;
 // 0 (absent) means everything retained.
 func parseN(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("n")
+	raw := queryParam(r.URL.RawQuery, "n")
 	if raw == "" {
 		return 0, nil
 	}
@@ -224,7 +225,7 @@ func (a *httpAPI) handleTrace(w http.ResponseWriter, r *http.Request) {
 		n = rec.EventCap()
 	}
 	evDropped, _ := rec.Dropped()
-	if raw := r.URL.Query().Get("query"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "query"); raw != "" {
 		id, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			http.Error(w, "bad query: must be an integer query id", http.StatusBadRequest)
@@ -289,37 +290,6 @@ func (a *httpAPI) handleSlow(w http.ResponseWriter, r *http.Request) {
 		"slowest": entries,
 		"count":   len(entries),
 	})
-}
-
-// parseItems parses a comma-separated item-id list, enforcing the input
-// contract: non-empty, at most MaxQueryItems entries, every id a
-// non-negative integer, no duplicates. Range against the server's data-set
-// size is checked later by Query, which knows NumItems.
-func parseItems(raw string) ([]int, error) {
-	if raw == "" {
-		return nil, fmt.Errorf("items must be a comma-separated list of item ids")
-	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > MaxQueryItems {
-		return nil, fmt.Errorf("too many items: %d exceeds the limit of %d", len(parts), MaxQueryItems)
-	}
-	items := make([]int, 0, len(parts))
-	seen := make(map[int]bool, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad item %q: must be an integer id", p)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("bad item %d: must not be negative", v)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("duplicate item %d", v)
-		}
-		seen[v] = true
-		items = append(items, v)
-	}
-	return items, nil
 }
 
 func parseDurationDefault(raw string, def time.Duration) (time.Duration, error) {
