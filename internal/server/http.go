@@ -123,7 +123,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case OutcomeCanceled:
 		code = statusClientClosedRequest
 	}
-	writeJSON(w, code, resp)
+	writeQueryResponse(w, code, &resp)
 }
 
 func (a *httpAPI) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +160,13 @@ func (a *httpAPI) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"applied": applied})
+	ack := ackDropped
+	if applied {
+		ack = ackApplied
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(ack)
 }
 
 func (a *httpAPI) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -303,4 +309,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeQueryResponse is writeJSON for the hot /query shape: the same
+// bytes, encoded by appendQueryResponse into a pooled buffer. The body is
+// encoded before the header goes out, so a response that cannot be
+// encoded answers 500 rather than an empty 200.
+func writeQueryResponse(w http.ResponseWriter, code int, resp *QueryResponse) {
+	buf := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(buf)
+	b, err := appendQueryResponse((*buf)[:0], resp)
+	*buf = b
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(b)
 }

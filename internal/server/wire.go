@@ -1,15 +1,20 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// This file is the wire codec of the two hot request shapes, GET /query
-// and POST /update: what the handler reads from a request's query string.
+// This file is the wire codec of the two hot shapes, GET /query and
+// POST /update: what the handler reads from a request's query string and
+// the response bytes it writes. The responses are byte for byte what
+// encoding/json writes for the same values, without its reflection.
 
 // queryParam returns the first value of key in the raw query string. It
 // answers exactly what url.ParseQuery(raw).Get(key) answers with the
@@ -76,4 +81,105 @@ func parseItems(raw string) ([]int, error) {
 		items = append(items, v)
 	}
 	return items, nil
+}
+
+// wireBufs recycles the handler's response buffers.
+var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// jsonContentType is assigned to the header map directly: Header().Set
+// would allocate a fresh one-element slice per response.
+var jsonContentType = []string{"application/json"}
+
+// The two update acknowledgements, as encoding/json writes them.
+var (
+	ackApplied = []byte("{\"applied\":true}\n")
+	ackDropped = []byte("{\"applied\":false}\n")
+)
+
+// appendQueryResponse appends resp to b exactly as json.NewEncoder(w).Encode
+// writes it: the struct's field order and omitempty rules, values keys
+// sorted as strings, encoding/json's float format, and a trailing newline.
+// Like encoding/json it fails on a NaN or infinite float.
+func appendQueryResponse(b []byte, resp *QueryResponse) ([]byte, error) {
+	finite := true
+	float := func(f float64) {
+		finite = finite && !math.IsNaN(f) && !math.IsInf(f, 0)
+		b = appendJSONFloat(b, f)
+	}
+	b = append(b, `{"outcome":`...)
+	b = appendJSONString(b, string(resp.Outcome))
+	if len(resp.Values) > 0 {
+		var scratch [MaxQueryItems]string
+		keys := scratch[:0]
+		for k := range resp.Values {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		b = append(b, `,"values":{`...)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, k)
+			b = append(b, ':')
+			float(resp.Values[k])
+		}
+		b = append(b, '}')
+	}
+	b = append(b, `,"freshness":`...)
+	float(resp.Freshness)
+	b = append(b, `,"latency_ns":`...)
+	b = strconv.AppendInt(b, int64(resp.Latency), 10)
+	if resp.Query != 0 {
+		b = append(b, `,"query":`...)
+		b = strconv.AppendInt(b, resp.Query, 10)
+	}
+	if st := resp.Stages; st != nil {
+		b = append(b, `,"stages":{"queue_wait":`...)
+		float(st.QueueWait)
+		b = append(b, `,"lock_wait":`...)
+		float(st.LockWait)
+		b = append(b, `,"exec":`...)
+		float(st.Exec)
+		b = append(b, `,"overhead":`...)
+		float(st.Overhead)
+		b = append(b, `,"total":`...)
+		float(st.Total)
+		b = append(b, '}')
+	}
+	if !finite {
+		return b, fmt.Errorf("server: query response holds a NaN or infinite number")
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONFloat appends f in encoding/json's format: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent written e-7 rather than e-07.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s as a JSON string. The strings this codec
+// writes (outcomes, decimal item ids) never need escaping; anything that
+// does goes through encoding/json, so its escaping rules hold exactly.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -1,8 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/url"
+	"strconv"
 	"testing"
+	"time"
+
+	"unitdb/internal/obs/trace"
 )
 
 // FuzzQueryParam: queryParam answers what r.URL.Query().Get(key) answers,
@@ -34,4 +41,82 @@ func FuzzQueryParam(f *testing.F) {
 			t.Fatalf("queryParam(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want)
 		}
 	})
+}
+
+// wireOutcomes and wireFloats feed FuzzQueryResponseWire: every outcome,
+// and the floats where encoding/json's format turns (signed zero, the
+// smallest subnormal, both sides of the 1e-6 and 1e21 switches to
+// exponent form, the largest finite value).
+var (
+	wireOutcomes = []Outcome{OutcomeSuccess, OutcomeDSF, OutcomeDMF, OutcomeRejected, OutcomeCanceled}
+	wireFloats   = []float64{
+		0, math.Copysign(0, -1), 5e-324, 1e-7, -2.5e-8, 9.99e-7, 1e-6,
+		0.9, 1, 42.125, 1.0 / 3, 123456789.125, 1e20, 1e21, -1e21, math.MaxFloat64,
+	}
+)
+
+// wireResponse builds a QueryResponse from fuzz input: outcome picks one
+// of the five, n%9 values keyed by consecutive ids from firstKey (so "9"
+// sorts after "10"), each 4-bit nibble of pick chooses a special float or
+// else v, and stages attaches a breakdown.
+func wireResponse(outcome, n uint8, firstKey uint16, v, fresh float64, latency, query int64, stages bool, pick uint64) QueryResponse {
+	float := func(i int) float64 {
+		if p := int(pick >> (4 * (i % 16)) & 15); p < len(wireFloats) {
+			return wireFloats[p]
+		}
+		return v
+	}
+	resp := QueryResponse{
+		Outcome:   wireOutcomes[int(outcome)%len(wireOutcomes)],
+		Freshness: fresh,
+		Latency:   time.Duration(latency),
+		Query:     query,
+	}
+	if k := int(n % 9); k > 0 {
+		resp.Values = make(map[string]float64, k)
+		for i := 0; i < k; i++ {
+			resp.Values[strconv.Itoa(int(firstKey)+i)] = float(i)
+		}
+	}
+	if stages {
+		resp.Stages = &trace.StageBreakdown{QueueWait: float(8), LockWait: float(9), Exec: float(10), Overhead: float(11), Total: float(12)}
+	}
+	return resp
+}
+
+// FuzzQueryResponseWire: appendQueryResponse writes exactly the bytes
+// json.NewEncoder(w).Encode writes (json.Marshal plus a newline), and
+// fails exactly when encoding/json does.
+func FuzzQueryResponseWire(f *testing.F) {
+	f.Add(uint8(0), uint8(1), uint16(17), 42.125, 1.0, int64(52000), int64(9), true, uint64(0xffff_ffff_ffff_ffff))
+	f.Add(uint8(1), uint8(3), uint16(8), 0.5, 0.9, int64(0), int64(0), false, uint64(0xfedc_ba98_7654_3210))
+	f.Add(uint8(2), uint8(8), uint16(3), -7.75, 0.25, int64(-1), int64(1)<<40, true, uint64(0x0123_4567_89ab_cdef))
+	f.Add(uint8(3), uint8(0), uint16(0), 0.0, 0.0, int64(3e9), int64(0), false, uint64(0))
+	f.Add(uint8(4), uint8(2), uint16(9), math.NaN(), 1.0, int64(5), int64(1), false, uint64(0xff))
+	f.Fuzz(func(t *testing.T, outcome, n uint8, firstKey uint16, v, fresh float64, latency, query int64, stages bool, pick uint64) {
+		resp := wireResponse(outcome, n, firstKey, v, fresh, latency, query, stages, pick)
+		want, werr := json.Marshal(&resp)
+		got, gerr := appendQueryResponse(nil, &resp)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%+v: encoding/json error %v, appendQueryResponse error %v", resp, werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%+v:\n got %s\nwant %s", resp, got, want)
+		}
+	})
+}
+
+// TestAppendJSONStringMatchesEncodingJSON covers the strings the fuzz
+// target's fixed outcomes and decimal keys never reach: anything needing
+// an escape falls back to encoding/json.
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{"", "success", "17", `a"b\c`, "<&>", "tab\there", " ", "é", "\xff"} {
+		want, _ := json.Marshal(s)
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+	}
 }
