@@ -179,22 +179,25 @@ func (c *Client) Query(req QueryRequest) (QueryResponse, error) {
 // Retry-After on a 429, 0 otherwise; a non-nil error means the attempt
 // never produced an outcome (network failure, malformed response).
 func (c *Client) queryOnce(req QueryRequest) (QueryResponse, time.Duration, error) {
-	items := make([]string, len(req.Items))
+	var scratch [512]byte
+	b := append(scratch[:0], c.base...)
+	b = append(b, "/query?items="...)
 	for i, it := range req.Items {
-		items[i] = strconv.Itoa(it)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(it), 10)
 	}
-	v := url.Values{}
-	v.Set("items", strings.Join(items, ","))
 	if req.Deadline > 0 {
-		v.Set("deadline", req.Deadline.String())
+		b = appendQueryDuration(append(b, "&deadline="...), req.Deadline)
 	}
 	if req.Work > 0 {
-		v.Set("work", req.Work.String())
+		b = appendQueryDuration(append(b, "&work="...), req.Work)
 	}
 	if req.Freshness > 0 {
-		v.Set("freshness", strconv.FormatFloat(req.Freshness, 'g', -1, 64))
+		b = appendQueryFloat(append(b, "&freshness="...), req.Freshness)
 	}
-	resp, err := c.http.Get(c.base + "/query?" + v.Encode())
+	resp, err := c.http.Get(string(b))
 	if err != nil {
 		return QueryResponse{}, 0, err
 	}
@@ -207,8 +210,10 @@ func (c *Client) queryOnce(req QueryRequest) (QueryResponse, time.Duration, erro
 			return QueryResponse{}, 0, fmt.Errorf("server: decode query response: %w", err)
 		}
 		var hint time.Duration
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			hint = time.Duration(secs) * time.Second
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
+				hint = time.Duration(secs) * time.Second
+			}
 		}
 		return out, hint, nil
 	default:
@@ -223,13 +228,14 @@ func (c *Client) queryOnce(req QueryRequest) (QueryResponse, time.Duration, erro
 // and are never retried, even under WithRetry: after an ambiguous failure
 // a retry could deliver the same write twice.
 func (c *Client) Update(req UpdateRequest) (bool, error) {
-	v := url.Values{}
-	v.Set("item", strconv.Itoa(req.Item))
-	v.Set("value", strconv.FormatFloat(req.Value, 'g', -1, 64))
+	var scratch [128]byte
+	b := append(scratch[:0], c.base...)
+	b = strconv.AppendInt(append(b, "/update?item="...), int64(req.Item), 10)
+	b = appendQueryFloat(append(b, "&value="...), req.Value)
 	if req.Work > 0 {
-		v.Set("work", req.Work.String())
+		b = appendQueryDuration(append(b, "&work="...), req.Work)
 	}
-	resp, err := c.http.Post(c.base+"/update?"+v.Encode(), "", nil)
+	resp, err := c.http.Post(string(b), "", nil)
 	if err != nil {
 		return false, err
 	}

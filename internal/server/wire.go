@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,12 +10,37 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file is the wire codec of the two hot shapes, GET /query and
-// POST /update: what the handler reads from a request's query string and
-// the response bytes it writes. The responses are byte for byte what
-// encoding/json writes for the same values, without its reflection.
+// POST /update: the query string the client builds and the handler reads,
+// and the response bytes the handler writes and the client reads. The
+// responses are byte for byte what encoding/json writes for the same
+// values, without its reflection.
+
+// appendQueryDuration appends d as integer nanoseconds with an ns suffix:
+// exact, unlike Duration.String's decimal fractions, and accepted as is
+// by time.ParseDuration.
+func appendQueryDuration(b []byte, d time.Duration) []byte {
+	return append(strconv.AppendInt(b, int64(d), 10), "ns"...)
+}
+
+// appendQueryFloat appends f as a query-string value in the shortest form
+// that round-trips. The only byte of that form that needs escaping is the
+// '+' of an exponent (1e+06) or of +Inf, which would otherwise reach the
+// server as a space.
+func appendQueryFloat(b []byte, f float64) []byte {
+	start := len(b)
+	b = strconv.AppendFloat(b, f, 'g', -1, 64)
+	if i := bytes.IndexByte(b[start:], '+'); i >= 0 {
+		i += start
+		b = append(b, "  "...)
+		copy(b[i+3:], b[i+1:])
+		copy(b[i:], "%2B")
+	}
+	return b
+}
 
 // queryParam returns the first value of key in the raw query string. It
 // answers exactly what url.ParseQuery(raw).Get(key) answers with the

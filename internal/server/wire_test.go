@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -117,6 +120,75 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		want, _ := json.Marshal(s)
 		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
 			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+	}
+}
+
+// recordingBackend is a handler backend that keeps the last request the
+// handler decoded. Only the two hot methods are implemented; the embedded
+// nil backend panics if anything else is reached.
+type recordingBackend struct {
+	backend
+	query  QueryRequest
+	update UpdateRequest
+}
+
+func (r *recordingBackend) QueryCtx(_ context.Context, req QueryRequest) QueryResponse {
+	r.query = req
+	return QueryResponse{Outcome: OutcomeSuccess, Freshness: 1}
+}
+
+func (r *recordingBackend) Update(req UpdateRequest) (bool, error) {
+	r.update = req
+	return true, nil
+}
+
+// TestClientRequestsArriveExactly sends requests through Client to the
+// real handler and checks that the handler decodes exactly what was sent:
+// durations to the nanosecond, floats bit for bit (including exponents
+// whose '+' must be escaped, and -0), and a full 64-item list.
+func TestClientRequestsArriveExactly(t *testing.T) {
+	rec := &recordingBackend{}
+	ts := httptest.NewServer(newHandler(rec))
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+
+	full := make([]int, MaxQueryItems)
+	for i := range full {
+		full[i] = 1000 + 37*i
+	}
+	for _, want := range []QueryRequest{
+		{Items: []int{3}, Deadline: time.Second, Freshness: 0.9},
+		{Items: []int{0, 17, 1023}, Deadline: 200 * time.Millisecond, Work: 20 * time.Millisecond, Freshness: 1},
+		{Items: full, Deadline: 1234567891 * time.Nanosecond, Work: time.Nanosecond, Freshness: 1e-7},
+		{Items: []int{9, 10}, Deadline: math.MaxInt64, Freshness: 0.1 + 0.2},
+		{Items: []int{5}, Deadline: time.Nanosecond},
+	} {
+		rec.query = QueryRequest{}
+		if _, err := c.Query(want); err != nil {
+			t.Fatalf("query %+v: %v", want, err)
+		}
+		if got := rec.query; !reflect.DeepEqual(got, want) {
+			t.Errorf("query arrived as %+v, sent %+v", got, want)
+		}
+	}
+	for _, want := range []UpdateRequest{
+		{Item: 3, Value: 1e+06},
+		{Item: 5, Value: -2.5e-08, Work: 5 * time.Millisecond},
+		{Item: 0, Value: math.Copysign(0, -1)},
+		{Item: 7, Value: 5e-324, Work: time.Nanosecond},
+		{Item: 8, Value: math.MaxFloat64},
+		{Item: 9, Value: -1e21},
+		{Item: 10, Value: 0.1 + 0.2},
+		{Item: 11, Value: 42.125},
+	} {
+		rec.update = UpdateRequest{}
+		if _, err := c.Update(want); err != nil {
+			t.Fatalf("update %+v: %v", want, err)
+		}
+		got := rec.update
+		if got.Item != want.Item || got.Work != want.Work || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+			t.Errorf("update arrived as %+v, sent %+v", got, want)
 		}
 	}
 }
