@@ -206,7 +206,7 @@ func (c *Client) queryOnce(req QueryRequest) (QueryResponse, time.Duration, erro
 	case http.StatusOK, http.StatusPartialContent,
 		http.StatusTooManyRequests, http.StatusGatewayTimeout:
 		var out QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		if err := readWire(resp.Body, func(b []byte) error { return decodeQueryResponse(b, &out) }); err != nil {
 			return QueryResponse{}, 0, fmt.Errorf("server: decode query response: %w", err)
 		}
 		var hint time.Duration
@@ -245,13 +245,15 @@ func (c *Client) Update(req UpdateRequest) (bool, error) {
 		return false, fmt.Errorf("server: update failed: %s: %s",
 			resp.Status, strings.TrimSpace(string(body)))
 	}
-	var out struct {
-		Applied bool `json:"applied"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var applied bool
+	err = readWire(resp.Body, func(b []byte) (err error) {
+		applied, err = decodeUpdateAck(b)
+		return err
+	})
+	if err != nil {
 		return false, fmt.Errorf("server: decode update response: %w", err)
 	}
-	return out.Applied, nil
+	return applied, nil
 }
 
 // Stats fetches the server's accounting snapshot.

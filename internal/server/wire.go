@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/url"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"unitdb/internal/obs/trace"
 )
 
 // This file is the wire codec of the two hot shapes, GET /query and
@@ -109,7 +112,8 @@ func parseItems(raw string) ([]int, error) {
 	return items, nil
 }
 
-// wireBufs recycles the handler's response buffers.
+// wireBufs recycles the handler's response buffers and the client's
+// body buffers.
 var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // jsonContentType is assigned to the header map directly: Header().Set
@@ -208,4 +212,440 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// readWire reads a response body to EOF into a pooled buffer and hands
+// it to decode, which must not keep it.
+func readWire(r io.Reader, decode func([]byte) error) error {
+	buf := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(buf)
+	b, err := readBody(r, (*buf)[:0])
+	*buf = b
+	if err != nil {
+		return err
+	}
+	return decode(b)
+}
+
+// readBody reads r to EOF, appending to b and reusing its capacity.
+func readBody(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// decodeQueryResponse decodes a /query response body into out, which
+// should be the zero value. It reads the shape appendQueryResponse
+// writes, in any key order and with any whitespace, matches keys
+// case-insensitively and skips unknown ones as encoding/json does.
+// Anything it cannot read exactly as encoding/json would (an escaped or
+// non-ASCII string, a null, a number out of range) is an error, never a
+// guess: whenever it accepts, json.Unmarshal accepts too and gives the
+// same value.
+func decodeQueryResponse(b []byte, out *QueryResponse) error {
+	d := wireDecoder{b: b}
+	if err := d.open('{'); err != nil {
+		return err
+	}
+	for n := 0; ; n++ {
+		key, more, err := d.member(n)
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		switch {
+		case keyIs(key, "outcome"):
+			var s []byte
+			if s, err = d.plainString(); err == nil {
+				out.Outcome = outcomeOf(s)
+			}
+		case keyIs(key, "values"):
+			err = d.values(out)
+		case keyIs(key, "freshness"):
+			out.Freshness, err = d.float()
+		case keyIs(key, "latency_ns"):
+			var ns int64
+			ns, err = d.int()
+			out.Latency = time.Duration(ns)
+		case keyIs(key, "query"):
+			out.Query, err = d.int()
+		case keyIs(key, "stages"):
+			err = d.stages(out)
+		default:
+			err = d.skip(0)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return d.end()
+}
+
+// decodeUpdateAck decodes a /update response body, {"applied":bool}, with
+// the same rules as decodeQueryResponse.
+func decodeUpdateAck(b []byte) (applied bool, err error) {
+	d := wireDecoder{b: b}
+	if err := d.open('{'); err != nil {
+		return false, err
+	}
+	for n := 0; ; n++ {
+		key, more, err := d.member(n)
+		if err != nil {
+			return false, err
+		}
+		if !more {
+			break
+		}
+		if keyIs(key, "applied") {
+			applied, err = d.bool()
+		} else {
+			err = d.skip(0)
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	return applied, d.end()
+}
+
+// wireDecoder is a cursor over a JSON document.
+type wireDecoder struct {
+	b []byte
+	i int
+}
+
+// maxSkipDepth bounds the nesting of a skipped unknown value.
+const maxSkipDepth = 64
+
+func (d *wireDecoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("server: wire JSON offset %d: "+format, append([]any{d.i}, args...)...)
+}
+
+// peek skips whitespace and returns the next byte, 0 at the end.
+func (d *wireDecoder) peek() byte {
+	for ; d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// open consumes the byte c after any whitespace.
+func (d *wireDecoder) open(c byte) error {
+	if d.peek() != c {
+		return d.errorf("want %q", c)
+	}
+	d.i++
+	return nil
+}
+
+// end requires nothing but whitespace after the document.
+func (d *wireDecoder) end() error {
+	if d.peek(); d.i != len(d.b) {
+		return d.errorf("trailing data")
+	}
+	return nil
+}
+
+// member reads the key of an object's next member and the colon after
+// it, n being the members read so far. more is false at the closing
+// brace, which it consumes. Keys must be plain strings.
+func (d *wireDecoder) member(n int) (key []byte, more bool, err error) {
+	c := d.peek()
+	if c == '}' {
+		d.i++
+		return nil, false, nil
+	}
+	if n > 0 {
+		if c != ',' {
+			return nil, false, d.errorf("want ',' or '}'")
+		}
+		d.i++
+	}
+	if key, err = d.plainString(); err != nil {
+		return nil, false, err
+	}
+	return key, true, d.open(':')
+}
+
+// plainString reads a string holding only printable ASCII without
+// escapes, the only strings this codec writes.
+func (d *wireDecoder) plainString() ([]byte, error) {
+	if err := d.open('"'); err != nil {
+		return nil, err
+	}
+	start := d.i
+	for ; d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			return d.b[start : d.i-1], nil
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return nil, d.errorf("escaped or non-ASCII string")
+		}
+	}
+	return nil, d.errorf("unterminated string")
+}
+
+// number reads a JSON number token.
+func (d *wireDecoder) number() ([]byte, error) {
+	d.peek()
+	start := d.i
+	digits := func() int {
+		n := 0
+		for ; d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9'; d.i++ {
+			n++
+		}
+		return n
+	}
+	if d.i < len(d.b) && d.b[d.i] == '-' {
+		d.i++
+	}
+	switch {
+	case d.i < len(d.b) && d.b[d.i] == '0':
+		d.i++
+	case digits() == 0:
+		return nil, d.errorf("want a number")
+	}
+	if d.i < len(d.b) && d.b[d.i] == '.' {
+		d.i++
+		if digits() == 0 {
+			return nil, d.errorf("bad fraction")
+		}
+	}
+	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
+		d.i++
+		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
+			d.i++
+		}
+		if digits() == 0 {
+			return nil, d.errorf("bad exponent")
+		}
+	}
+	return d.b[start:d.i], nil
+}
+
+func (d *wireDecoder) float() (float64, error) {
+	tok, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, d.errorf("number %s out of range", tok)
+	}
+	return f, nil
+}
+
+func (d *wireDecoder) int() (int64, error) {
+	tok, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	n, err := strconv.ParseInt(string(tok), 10, 64)
+	if err != nil {
+		return 0, d.errorf("number %s is not a 64-bit integer", tok)
+	}
+	return n, nil
+}
+
+func (d *wireDecoder) bool() (bool, error) {
+	for _, lit := range [...]string{"true", "false"} {
+		if d.peek() == lit[0] && bytes.HasPrefix(d.b[d.i:], []byte(lit)) {
+			d.i += len(lit)
+			return lit == "true", nil
+		}
+	}
+	return false, d.errorf("want true or false")
+}
+
+// values reads the values object into out.Values, creating the map when
+// it is nil and otherwise adding to it, as encoding/json does.
+func (d *wireDecoder) values(out *QueryResponse) error {
+	if err := d.open('{'); err != nil {
+		return err
+	}
+	if out.Values == nil {
+		out.Values = make(map[string]float64)
+	}
+	for n := 0; ; n++ {
+		key, more, err := d.member(n)
+		if err != nil || !more {
+			return err
+		}
+		v, err := d.float()
+		if err != nil {
+			return err
+		}
+		out.Values[string(key)] = v
+	}
+}
+
+// stages reads the stages object into out.Stages, allocating it when it
+// is nil and otherwise overwriting the fields present.
+func (d *wireDecoder) stages(out *QueryResponse) error {
+	if err := d.open('{'); err != nil {
+		return err
+	}
+	if out.Stages == nil {
+		out.Stages = new(trace.StageBreakdown)
+	}
+	st := out.Stages
+	for n := 0; ; n++ {
+		key, more, err := d.member(n)
+		if err != nil || !more {
+			return err
+		}
+		switch {
+		case keyIs(key, "queue_wait"):
+			st.QueueWait, err = d.float()
+		case keyIs(key, "lock_wait"):
+			st.LockWait, err = d.float()
+		case keyIs(key, "exec"):
+			st.Exec, err = d.float()
+		case keyIs(key, "overhead"):
+			st.Overhead, err = d.float()
+		case keyIs(key, "total"):
+			st.Total, err = d.float()
+		default:
+			err = d.skip(0)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// skip reads and discards one JSON value of any kind, validating it.
+func (d *wireDecoder) skip(depth int) error {
+	if depth > maxSkipDepth {
+		return d.errorf("nested too deep")
+	}
+	switch c := d.peek(); c {
+	case '{', '[':
+		closing := byte('}')
+		if c == '[' {
+			closing = ']'
+		}
+		d.i++
+		for n := 0; ; n++ {
+			c := d.peek()
+			if c == closing {
+				d.i++
+				return nil
+			}
+			if n > 0 {
+				if c != ',' {
+					return d.errorf("want ',' or %q", closing)
+				}
+				d.i++
+			}
+			if closing == '}' {
+				if err := d.skipString(); err != nil {
+					return err
+				}
+				if err := d.open(':'); err != nil {
+					return err
+				}
+			}
+			if err := d.skip(depth + 1); err != nil {
+				return err
+			}
+		}
+	case '"':
+		return d.skipString()
+	case 't', 'f', 'n':
+		for _, lit := range [...]string{"true", "false", "null"} {
+			if bytes.HasPrefix(d.b[d.i:], []byte(lit)) {
+				d.i += len(lit)
+				return nil
+			}
+		}
+		return d.errorf("bad literal")
+	default:
+		_, err := d.number()
+		return err
+	}
+}
+
+// skipString reads and discards any valid JSON string.
+func (d *wireDecoder) skipString() error {
+	if err := d.open('"'); err != nil {
+		return err
+	}
+	for d.i < len(d.b) {
+		c := d.b[d.i]
+		d.i++
+		switch {
+		case c == '"':
+			return nil
+		case c < 0x20:
+			return d.errorf("control byte in string")
+		case c == '\\':
+			if d.i >= len(d.b) {
+				return d.errorf("unterminated string")
+			}
+			e := d.b[d.i]
+			d.i++
+			switch e {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if d.i+4 > len(d.b) {
+					return d.errorf("short \\u escape")
+				}
+				for _, h := range d.b[d.i : d.i+4] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return d.errorf("bad \\u escape")
+					}
+				}
+				d.i += 4
+			default:
+				return d.errorf("bad escape")
+			}
+		}
+	}
+	return d.errorf("unterminated string")
+}
+
+// keyIs reports whether key equals name, which is lower case, ignoring
+// ASCII case as encoding/json's field matching does.
+func keyIs(key []byte, name string) bool {
+	if len(key) != len(name) {
+		return false
+	}
+	for i, c := range key {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != name[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// outcomeOf returns the outcome named s, sharing the constant's string
+// for the five known outcomes.
+func outcomeOf(s []byte) Outcome {
+	for _, o := range [...]Outcome{OutcomeSuccess, OutcomeDSF, OutcomeDMF, OutcomeRejected, OutcomeCanceled} {
+		if string(s) == string(o) {
+			return o
+		}
+	}
+	return Outcome(s)
 }

@@ -88,8 +88,9 @@ func wireResponse(outcome, n uint8, firstKey uint16, v, fresh float64, latency, 
 }
 
 // FuzzQueryResponseWire: appendQueryResponse writes exactly the bytes
-// json.NewEncoder(w).Encode writes (json.Marshal plus a newline), and
-// fails exactly when encoding/json does.
+// json.NewEncoder(w).Encode writes (json.Marshal plus a newline), fails
+// exactly when encoding/json does, and decodeQueryResponse gives back the
+// value encoded.
 func FuzzQueryResponseWire(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint16(17), 42.125, 1.0, int64(52000), int64(9), true, uint64(0xffff_ffff_ffff_ffff))
 	f.Add(uint8(1), uint8(3), uint16(8), 0.5, 0.9, int64(0), int64(0), false, uint64(0xfedc_ba98_7654_3210))
@@ -108,6 +109,64 @@ func FuzzQueryResponseWire(f *testing.F) {
 		}
 		if want = append(want, '\n'); !bytes.Equal(got, want) {
 			t.Fatalf("%+v:\n got %s\nwant %s", resp, got, want)
+		}
+		var back QueryResponse
+		if err := decodeQueryResponse(got, &back); err != nil {
+			t.Fatalf("decoding %s: %v", got, err)
+		}
+		if !reflect.DeepEqual(back, resp) {
+			t.Fatalf("%s decoded to %+v, encoded from %+v", got, back, resp)
+		}
+	})
+}
+
+// FuzzDecodeWire runs the two decoders on arbitrary bytes: whenever one
+// accepts, json.Unmarshal accepts too and gives a DeepEqual value.
+func FuzzDecodeWire(f *testing.F) {
+	for _, seed := range []string{
+		`{"outcome":"success","values":{"10":1,"9":-0},"freshness":1,"latency_ns":52000,"query":9,"stages":{"queue_wait":1e-7,"lock_wait":0,"exec":5e-324,"overhead":1e21,"total":1.7976931348623157e308}}` + "\n",
+		` { "query" : 3 , "Outcome" : "rejected" , "LATENCY_NS" : -0 , "freshness" : 0 } `,
+		`{"values":{},"stages":{},"stages":{"exec":2},"values":{"1":1},"values":{"1":2,"2":3}}`,
+		`{"outcome":"data-stale","extra":[1,{"a":[true,false,null]},"\u00e9\n\"",-1.5e+3],"freshness":0.5}`,
+		`{"outcome":"suc\u0063ess"}`,
+		`{"outcome":null}`,
+		`{"values":null}`,
+		`{"latency_ns":1.5}`,
+		`{"freshness":1e400}`,
+		`{"freshness":01}`,
+		`{"freshness":.5}`,
+		`{"outcome":"x",}`,
+		`{"outcome":"x"} {}`,
+		"{}\x00",
+		`{"applied":true}` + "\n",
+		`{"applied":false,"Applied":true}`,
+		`{"applied":null}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got QueryResponse
+		if err := decodeQueryResponse(b, &got); err == nil {
+			var want QueryResponse
+			if err := json.Unmarshal(b, &want); err != nil {
+				t.Fatalf("decodeQueryResponse accepted %q, json.Unmarshal refuses it: %v", b, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: decodeQueryResponse gives %+v, json.Unmarshal %+v", b, got, want)
+			}
+		}
+		if applied, err := decodeUpdateAck(b); err == nil {
+			var want struct {
+				Applied bool `json:"applied"`
+			}
+			if err := json.Unmarshal(b, &want); err != nil {
+				t.Fatalf("decodeUpdateAck accepted %q, json.Unmarshal refuses it: %v", b, err)
+			}
+			if applied != want.Applied {
+				t.Fatalf("%q: decodeUpdateAck gives %v, json.Unmarshal %v", b, applied, want.Applied)
+			}
 		}
 	})
 }
@@ -189,6 +248,32 @@ func TestClientRequestsArriveExactly(t *testing.T) {
 		got := rec.update
 		if got.Item != want.Item || got.Work != want.Work || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 			t.Errorf("update arrived as %+v, sent %+v", got, want)
+		}
+	}
+}
+
+// TestDecodeQueryResponseTolerance pins what the decoder reads beyond its
+// own encoder's output, and what it refuses rather than guess at.
+func TestDecodeQueryResponseTolerance(t *testing.T) {
+	for _, ok := range []string{
+		` { "query" : 3 , "Outcome" : "rejected" , "LATENCY_NS" : -0 , "freshness" : 0 } `,
+		`{"freshness":0.5,"outcome":"data-stale","extra":[1,{"a":[true,false,null]},"é\n\"",-1.5e+3]}`,
+		`{"stages":{"total":2,"future":{}},"values":{"9":1,"10":2}}`,
+		`{}`,
+	} {
+		var resp QueryResponse
+		if err := decodeQueryResponse([]byte(ok), &resp); err != nil {
+			t.Errorf("refused %s: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{
+		`{"outcome":"suc\u0063ess"}`, `{"outcome":"é"}`, `{"outcome":null}`, `{"values":null}`,
+		`{"latency_ns":1.5}`, `{"freshness":1e400}`, `{"freshness":01}`, `{"freshness":.5}`,
+		`{"outcome":"x",}`, `{"outcome":"x"} {}`, "{}\x00", "{\"extra\":\"\x01\"}", `[]`, ``,
+	} {
+		var resp QueryResponse
+		if err := decodeQueryResponse([]byte(bad), &resp); err == nil {
+			t.Errorf("accepted %s as %+v", bad, resp)
 		}
 	}
 }
