@@ -81,12 +81,16 @@ scenarios:
 	tail -n 5 scenario-traces/critical-path.txt
 
 # Fuzz smoke: each target briefly, catching regressions in the HTTP
-# input contract, the shard router's partition/merge laws and the event
+# input contract, the wire codec's agreement with net/url and
+# encoding/json, the shard router's partition/merge laws and the event
 # kernel's schedule order without an open-ended fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzQueryHandler -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzQueryParam -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzQueryResponseWire -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzDecodeWire -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -fuzz=FuzzSchedule -fuzztime=$(FUZZTIME) ./internal/eventsim/
 
