@@ -206,7 +206,11 @@ func (c *Client) queryOnce(req QueryRequest) (QueryResponse, time.Duration, erro
 	case http.StatusOK, http.StatusPartialContent,
 		http.StatusTooManyRequests, http.StatusGatewayTimeout:
 		var out QueryResponse
-		if err := readWire(resp.Body, func(b []byte) error { return decodeQueryResponse(b, &out) }); err != nil {
+		err := readWire(resp.Body, func(b []byte) (err error) {
+			out, err = decodeQueryResponse(b)
+			return err
+		})
+		if err != nil {
 			return QueryResponse{}, 0, fmt.Errorf("server: decode query response: %w", err)
 		}
 		var hint time.Duration

@@ -51,6 +51,12 @@ type backend interface {
 // Outcomes map to status codes: success 200, data-stale 206 (the result is
 // returned with a staleness notice, paper §3.1), rejected 429 with a
 // Retry-After estimate, deadline-missed 504, canceled 499.
+//
+// Durations take any time.ParseDuration form; Client sends integer
+// nanoseconds (deadline=200000000ns), which are exact. The /query and
+// /update bodies come from the wire codec (wire.go) and are byte for byte
+// what encoding/json writes for the same values; the other endpoints use
+// encoding/json itself.
 func (s *Server) Handler() http.Handler { return newHandler(s) }
 
 // newHandler wires the shared HTTP surface onto one backend.
@@ -317,7 +323,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // encoded answers 500 rather than an empty 200.
 func writeQueryResponse(w http.ResponseWriter, code int, resp *QueryResponse) {
 	buf := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(buf)
+	defer putWireBuf(buf)
 	b, err := appendQueryResponse((*buf)[:0], resp)
 	*buf = b
 	if err != nil {

@@ -116,6 +116,13 @@ func parseItems(raw string) ([]int, error) {
 // body buffers.
 var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
+// putWireBuf returns buf to the pool unless an outsized body grew it.
+func putWireBuf(buf *[]byte) {
+	if cap(*buf) <= 64<<10 {
+		wireBufs.Put(buf)
+	}
+}
+
 // jsonContentType is assigned to the header map directly: Header().Set
 // would allocate a fresh one-element slice per response.
 var jsonContentType = []string{"application/json"}
@@ -218,7 +225,7 @@ func appendJSONString(b []byte, s string) []byte {
 // it to decode, which must not keep it.
 func readWire(r io.Reader, decode func([]byte) error) error {
 	buf := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(buf)
+	defer putWireBuf(buf)
 	b, err := readBody(r, (*buf)[:0])
 	*buf = b
 	if err != nil {
@@ -244,23 +251,29 @@ func readBody(r io.Reader, b []byte) ([]byte, error) {
 	}
 }
 
-// decodeQueryResponse decodes a /query response body into out, which
-// should be the zero value. It reads the shape appendQueryResponse
-// writes, in any key order and with any whitespace, matches keys
-// case-insensitively and skips unknown ones as encoding/json does.
-// Anything it cannot read exactly as encoding/json would (an escaped or
-// non-ASCII string, a null, a number out of range) is an error, never a
-// guess: whenever it accepts, json.Unmarshal accepts too and gives the
-// same value.
-func decodeQueryResponse(b []byte, out *QueryResponse) error {
+// decodeQueryResponse decodes a /query response body. It reads the shape
+// appendQueryResponse writes, in any key order and with any whitespace,
+// matches keys case-insensitively and skips unknown ones as encoding/json
+// does. Anything it cannot read exactly as encoding/json would (an
+// escaped or non-ASCII string, a null, a number out of range) is an
+// error, never a guess: whenever it accepts, json.Unmarshal accepts too
+// and gives the same value.
+func decodeQueryResponse(b []byte) (QueryResponse, error) {
+	var (
+		outcome        Outcome
+		values         map[string]float64
+		fresh          float64
+		latency, query int64
+		stages         *trace.StageBreakdown
+	)
 	d := wireDecoder{b: b}
 	if err := d.open('{'); err != nil {
-		return err
+		return QueryResponse{}, err
 	}
 	for n := 0; ; n++ {
 		key, more, err := d.member(n)
 		if err != nil {
-			return err
+			return QueryResponse{}, err
 		}
 		if !more {
 			break
@@ -269,28 +282,30 @@ func decodeQueryResponse(b []byte, out *QueryResponse) error {
 		case keyIs(key, "outcome"):
 			var s []byte
 			if s, err = d.plainString(); err == nil {
-				out.Outcome = outcomeOf(s)
+				outcome = outcomeOf(s)
 			}
 		case keyIs(key, "values"):
-			err = d.values(out)
+			values, err = d.values(values)
 		case keyIs(key, "freshness"):
-			out.Freshness, err = d.float()
+			fresh, err = d.float()
 		case keyIs(key, "latency_ns"):
-			var ns int64
-			ns, err = d.int()
-			out.Latency = time.Duration(ns)
+			latency, err = d.int()
 		case keyIs(key, "query"):
-			out.Query, err = d.int()
+			query, err = d.int()
 		case keyIs(key, "stages"):
-			err = d.stages(out)
+			stages, err = d.stages(stages)
 		default:
 			err = d.skip(0)
 		}
 		if err != nil {
-			return err
+			return QueryResponse{}, err
 		}
 	}
-	return d.end()
+	if err := d.end(); err != nil {
+		return QueryResponse{}, err
+	}
+	return QueryResponse{Outcome: outcome, Values: values, Freshness: fresh,
+		Latency: time.Duration(latency), Query: query, Stages: stages}, nil
 }
 
 // decodeUpdateAck decodes a /update response body, {"applied":bool}, with
@@ -474,42 +489,41 @@ func (d *wireDecoder) bool() (bool, error) {
 	return false, d.errorf("want true or false")
 }
 
-// values reads the values object into out.Values, creating the map when
-// it is nil and otherwise adding to it, as encoding/json does.
-func (d *wireDecoder) values(out *QueryResponse) error {
+// values reads a values object into m, creating the map when m is nil
+// and otherwise adding to it, as encoding/json does with a repeated key.
+func (d *wireDecoder) values(m map[string]float64) (map[string]float64, error) {
 	if err := d.open('{'); err != nil {
-		return err
+		return m, err
 	}
-	if out.Values == nil {
-		out.Values = make(map[string]float64)
+	if m == nil {
+		m = make(map[string]float64)
 	}
 	for n := 0; ; n++ {
 		key, more, err := d.member(n)
 		if err != nil || !more {
-			return err
+			return m, err
 		}
 		v, err := d.float()
 		if err != nil {
-			return err
+			return m, err
 		}
-		out.Values[string(key)] = v
+		m[string(key)] = v
 	}
 }
 
-// stages reads the stages object into out.Stages, allocating it when it
-// is nil and otherwise overwriting the fields present.
-func (d *wireDecoder) stages(out *QueryResponse) error {
+// stages reads a stages object into st, allocating it when st is nil and
+// otherwise overwriting the fields present, as encoding/json does.
+func (d *wireDecoder) stages(st *trace.StageBreakdown) (*trace.StageBreakdown, error) {
 	if err := d.open('{'); err != nil {
-		return err
+		return st, err
 	}
-	if out.Stages == nil {
-		out.Stages = new(trace.StageBreakdown)
+	if st == nil {
+		st = new(trace.StageBreakdown)
 	}
-	st := out.Stages
 	for n := 0; ; n++ {
 		key, more, err := d.member(n)
 		if err != nil || !more {
-			return err
+			return st, err
 		}
 		switch {
 		case keyIs(key, "queue_wait"):
@@ -526,7 +540,7 @@ func (d *wireDecoder) stages(out *QueryResponse) error {
 			err = d.skip(0)
 		}
 		if err != nil {
-			return err
+			return st, err
 		}
 	}
 }

@@ -110,8 +110,8 @@ func FuzzQueryResponseWire(f *testing.F) {
 		if want = append(want, '\n'); !bytes.Equal(got, want) {
 			t.Fatalf("%+v:\n got %s\nwant %s", resp, got, want)
 		}
-		var back QueryResponse
-		if err := decodeQueryResponse(got, &back); err != nil {
+		back, err := decodeQueryResponse(got)
+		if err != nil {
 			t.Fatalf("decoding %s: %v", got, err)
 		}
 		if !reflect.DeepEqual(back, resp) {
@@ -147,8 +147,7 @@ func FuzzDecodeWire(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var got QueryResponse
-		if err := decodeQueryResponse(b, &got); err == nil {
+		if got, err := decodeQueryResponse(b); err == nil {
 			var want QueryResponse
 			if err := json.Unmarshal(b, &want); err != nil {
 				t.Fatalf("decodeQueryResponse accepted %q, json.Unmarshal refuses it: %v", b, err)
@@ -261,8 +260,7 @@ func TestDecodeQueryResponseTolerance(t *testing.T) {
 		`{"stages":{"total":2,"future":{}},"values":{"9":1,"10":2}}`,
 		`{}`,
 	} {
-		var resp QueryResponse
-		if err := decodeQueryResponse([]byte(ok), &resp); err != nil {
+		if _, err := decodeQueryResponse([]byte(ok)); err != nil {
 			t.Errorf("refused %s: %v", ok, err)
 		}
 	}
@@ -271,8 +269,7 @@ func TestDecodeQueryResponseTolerance(t *testing.T) {
 		`{"latency_ns":1.5}`, `{"freshness":1e400}`, `{"freshness":01}`, `{"freshness":.5}`,
 		`{"outcome":"x",}`, `{"outcome":"x"} {}`, "{}\x00", "{\"extra\":\"\x01\"}", `[]`, ``,
 	} {
-		var resp QueryResponse
-		if err := decodeQueryResponse([]byte(bad), &resp); err == nil {
+		if resp, err := decodeQueryResponse([]byte(bad)); err == nil {
 			t.Errorf("accepted %s as %+v", bad, resp)
 		}
 	}
