@@ -35,6 +35,7 @@ func FuzzQueryParam(f *testing.F) {
 		{"value=1e+06", "value"},
 		{"", ""},
 		{"=1", ""},
+		{"%zz=1&=3", ""},
 	} {
 		f.Add(seed.raw, seed.key)
 	}
@@ -127,6 +128,7 @@ func FuzzDecodeWire(f *testing.F) {
 		`{"outcome":"success","values":{"10":1,"9":-0},"freshness":1,"latency_ns":52000,"query":9,"stages":{"queue_wait":1e-7,"lock_wait":0,"exec":5e-324,"overhead":1e21,"total":1.7976931348623157e308}}` + "\n",
 		` { "query" : 3 , "Outcome" : "rejected" , "LATENCY_NS" : -0 , "freshness" : 0 } `,
 		`{"values":{},"stages":{},"stages":{"exec":2},"values":{"1":1},"values":{"1":2,"2":3}}`,
+		`{"values":{"7":1},"stages":{"exec":1},"values":{"8":2},"stages":{"total":2}}`,
 		`{"outcome":"data-stale","extra":[1,{"a":[true,false,null]},"\u00e9\n\"",-1.5e+3],"freshness":0.5}`,
 		`{"outcome":"suc\u0063ess"}`,
 		`{"outcome":null}`,
