@@ -226,27 +226,19 @@ func appendJSONString(b []byte, s string) []byte {
 func readWire(r io.Reader, decode func([]byte) error) error {
 	buf := wireBufs.Get().(*[]byte)
 	defer putWireBuf(buf)
-	b, err := readBody(r, (*buf)[:0])
-	*buf = b
-	if err != nil {
-		return err
-	}
-	return decode(b)
-}
-
-// readBody reads r to EOF, appending to b and reusing its capacity.
-func readBody(r io.Reader, b []byte) ([]byte, error) {
+	b := (*buf)[:0]
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
+		*buf = b
 		if err == io.EOF {
-			return b, nil
+			return decode(b)
 		}
 		if err != nil {
-			return b, err
+			return err
 		}
 	}
 }
@@ -345,7 +337,7 @@ type wireDecoder struct {
 const maxSkipDepth = 64
 
 func (d *wireDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("server: wire JSON offset %d: "+format, append([]any{d.i}, args...)...)
+	return fmt.Errorf("JSON offset %d: "+format, append([]any{d.i}, args...)...)
 }
 
 // peek skips whitespace and returns the next byte, 0 at the end.
@@ -480,13 +472,23 @@ func (d *wireDecoder) int() (int64, error) {
 }
 
 func (d *wireDecoder) bool() (bool, error) {
-	for _, lit := range [...]string{"true", "false"} {
-		if d.peek() == lit[0] && bytes.HasPrefix(d.b[d.i:], []byte(lit)) {
-			d.i += len(lit)
-			return lit == "true", nil
-		}
+	switch {
+	case d.literal("true"):
+		return true, nil
+	case d.literal("false"):
+		return false, nil
 	}
 	return false, d.errorf("want true or false")
+}
+
+// literal consumes lit if it comes next.
+func (d *wireDecoder) literal(lit string) bool {
+	d.peek()
+	if !bytes.HasPrefix(d.b[d.i:], []byte(lit)) {
+		return false
+	}
+	d.i += len(lit)
+	return true
 }
 
 // values reads a values object into m, creating the map when m is nil
@@ -584,11 +586,8 @@ func (d *wireDecoder) skip(depth int) error {
 	case '"':
 		return d.skipString()
 	case 't', 'f', 'n':
-		for _, lit := range [...]string{"true", "false", "null"} {
-			if bytes.HasPrefix(d.b[d.i:], []byte(lit)) {
-				d.i += len(lit)
-				return nil
-			}
+		if d.literal("true") || d.literal("false") || d.literal("null") {
+			return nil
 		}
 		return d.errorf("bad literal")
 	default:
