@@ -44,11 +44,11 @@
 // callback), or a spawned call (Spawn — `go f()` or any call inside a
 // `go func(){...}` literal, which runs on a new goroutine).
 //
-// The builder also collects the package's struct tables — field types,
-// mutex-typed fields, map-typed field names — and the set of HTTP
-// handler functions (any function with an http.ResponseWriter
-// parameter), because the downstream analyzers all need the same
-// syntactic inventory and it should be computed once.
+// The builder also collects the package's struct tables — field types
+// and map-typed field names — and the set of HTTP handler functions (any
+// function with an http.ResponseWriter parameter), because the
+// downstream analyzers all need the same syntactic inventory and it
+// should be computed once.
 package callgraph
 
 import (
@@ -120,10 +120,6 @@ type Graph struct {
 	// type ("Store", "http.Request"; pointers are dereferenced). Only
 	// fields whose type flattens to a name appear.
 	FieldTypes map[string]map[string]string
-	// MutexFields maps struct type → the set of its sync.Mutex /
-	// sync.RWMutex fields (detected by type name suffix; the repo
-	// imports sync unaliased).
-	MutexFields map[string]map[string]bool
 	// MapFields is the set of field names declared with a map type
 	// anywhere in the package's structs. Field names, not (type, field)
 	// pairs: consumers use it to recognize `x.field` as a map when x's
@@ -177,7 +173,6 @@ func Build(pkg *analysis.Package) *Graph {
 		Callees:      map[FuncID][]Edge{},
 		Callers:      map[FuncID][]Edge{},
 		FieldTypes:   map[string]map[string]string{},
-		MutexFields:  map[string]map[string]bool{},
 		MapFields:    map[string]bool{},
 		PkgVars:      map[string]bool{},
 		Handlers:     map[FuncID]bool{},
@@ -219,16 +214,16 @@ func DeclID(fd *ast.FuncDecl) FuncID {
 	if fd.Recv == nil {
 		return FuncID(fd.Name.Name)
 	}
-	_, typ := receiverName(fd)
+	_, typ := ReceiverName(fd)
 	if typ == "" {
 		return FuncID("?." + fd.Name.Name)
 	}
 	return MethodID(typ, fd.Name.Name)
 }
 
-// receiverName mirrors guardedby.ReceiverName without the import cycle
-// risk: the receiver identifier and its named type.
-func receiverName(fd *ast.FuncDecl) (recv, typ string) {
+// ReceiverName returns a method's receiver identifier ("" when unnamed)
+// and its named type, type parameters dropped ("" when not a named type).
+func ReceiverName(fd *ast.FuncDecl) (recv, typ string) {
 	if fd.Recv == nil || len(fd.Recv.List) != 1 {
 		return "", ""
 	}
@@ -292,16 +287,6 @@ func (g *Graph) collectStruct(typ string, st *ast.StructType) {
 		ft := FlattenType(field.Type)
 		if ft == "" {
 			continue
-		}
-		if ft == "sync.Mutex" || ft == "sync.RWMutex" {
-			m := g.MutexFields[typ]
-			if m == nil {
-				m = map[string]bool{}
-				g.MutexFields[typ] = m
-			}
-			for _, n := range field.Names {
-				m[n.Name] = true
-			}
 		}
 		m := g.FieldTypes[typ]
 		if m == nil {
@@ -700,7 +685,7 @@ func (g *Graph) Bindings(id FuncID) map[string]string {
 	fd := g.Funcs[id]
 	b := map[string]string{}
 	if fd != nil {
-		if recv, typ := receiverName(fd); recv != "" && recv != "_" {
+		if recv, typ := ReceiverName(fd); recv != "" && recv != "_" {
 			b[recv] = typ
 		}
 		if fd.Type.Params != nil {

@@ -77,9 +77,6 @@ func TestDecls(t *testing.T) {
 	if !g.PkgVars["global"] {
 		t.Error("PkgVars missing global")
 	}
-	if !g.MutexFields["Store"]["mu"] {
-		t.Error("MutexFields missing Store.mu")
-	}
 	if !g.MapFields["byName"] {
 		t.Error("MapFields missing byName")
 	}

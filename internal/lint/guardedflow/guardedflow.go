@@ -1,36 +1,45 @@
-// Package guardedflow upgrades the guardedby convention from
-// comment-presence checking to flow-sensitive enforcement: every read or
-// write of a "// guarded by mu" field through a method receiver must
-// happen at a program point where the lockstate lattice proves the mutex
-// held (write- or read-locked on every path reaching the access), or
-// inside a method whose name ends in "Locked" (which is analyzed with the
-// mutex assumed held at entry — and still checked, so a *Locked method
-// that releases early is caught).
+// Package guardedflow enforces the lock annotation on concurrent
+// structs. A struct field whose doc or trailing comment contains
+// "guarded by <mutex>" (case-insensitive) names the sibling mutex field
+// that must be held whenever the field is read or written:
 //
-// Where guardedby asks "does this method lock mu somewhere?", guardedflow
-// asks "is mu held *here*?" — it catches the access moved past the
-// unlock, the branch that releases before touching the field, and the
-// *Locked helper that drops the caller's lock.
+//	mu    sync.Mutex
+//	queue queryHeap // guarded by mu
 //
-// Scope matches guardedby deliberately: only accesses spelled through the
-// method receiver are checked (aliases are out of syntactic reach), plain
-// functions and constructors are exempt (the struct has not escaped yet),
-// and function-literal bodies are exempt (a closure runs at call time
-// under whatever lock regime its call site has — the server's dequeue
-// closure, for example, runs under the mutex of three different call
-// sites; `go test -race` covers the dynamics).
+// Every access of such a field through a method receiver must happen at
+// a program point where the lockstate lattice proves the mutex held
+// (write- or read-locked on every path reaching the access), or inside a
+// method whose name ends in "Locked" (which is analyzed with the mutex
+// assumed held at entry — and still checked, so a *Locked method that
+// releases early is caught). That catches the access moved past the
+// unlock, the branch that releases before touching the field, the method
+// that holds the wrong mutex, and the *Locked helper that drops the
+// caller's lock.
+//
+// A function literal runs at call time under its call site's lock
+// regime — the server's dequeue closure, for example, runs under the
+// mutex of three different call sites — so the flow at its definition
+// proves nothing. Accesses inside one are judged by a weaker rule: the
+// enclosing method must call recv.<mutex>.Lock() or RLock() somewhere,
+// or be a *Locked method. A closure in a method that never locks is a
+// finding; `go test -race` covers the rest of the dynamics.
+//
+// Only accesses spelled through the method receiver are checked (aliases
+// are out of syntactic reach), and plain functions and constructors are
+// exempt (the struct has not escaped yet).
 package guardedflow
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"regexp"
 	"strings"
 
 	"unitdb/internal/lint/analysis"
+	"unitdb/internal/lint/callgraph"
 	"unitdb/internal/lint/cfg"
 	"unitdb/internal/lint/dataflow"
-	"unitdb/internal/lint/guardedby"
 	"unitdb/internal/lint/lockstate"
 )
 
@@ -41,8 +50,58 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+var guardRE = regexp.MustCompile(`(?i)guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
+
+// collectGuards maps struct name → field name → guarding mutex field
+// name over the package's annotated fields.
+func collectGuards(files []*ast.File) map[string]map[string]string {
+	g := map[string]map[string]string{}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				mutex := guardAnnotation(field)
+				if mutex == "" {
+					continue
+				}
+				m := g[ts.Name.Name]
+				if m == nil {
+					m = map[string]string{}
+					g[ts.Name.Name] = m
+				}
+				for _, name := range field.Names {
+					m[name.Name] = mutex
+				}
+			}
+			return true
+		})
+	}
+	return g
+}
+
+// guardAnnotation extracts the mutex name from a field's doc or trailing
+// comment, or returns "".
+func guardAnnotation(field *ast.Field) string {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := guardRE.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
+}
+
 func run(pass *analysis.Pass) error {
-	g := guardedby.CollectGuards(pass.Pkg.Files)
+	g := collectGuards(pass.Pkg.Files)
 	if len(g) == 0 {
 		return nil
 	}
@@ -52,7 +111,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			recv, typ := guardedby.ReceiverName(fd)
+			recv, typ := callgraph.ReceiverName(fd)
 			if recv == "" || recv == "_" || len(g[typ]) == 0 {
 				continue
 			}
@@ -64,10 +123,15 @@ func run(pass *analysis.Pass) error {
 
 // checkMethod runs the lockstate fixpoint over one method and reports
 // every guarded-field access at a point where the mutex is not provably
-// held. fields maps field name → guarding mutex name.
+// held; function-literal bodies go to checkClosures. fields maps field
+// name → guarding mutex name.
 func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, recv, typ string, fields map[string]string) {
+	locked := strings.HasSuffix(fd.Name.Name, "Locked")
+	if !locked {
+		checkClosures(pass, fd, recv, typ, fields)
+	}
 	entry := lockstate.Fact{}
-	if strings.HasSuffix(fd.Name.Name, "Locked") {
+	if locked {
 		// The caller holds every guarding mutex of the struct; the method
 		// body is still checked under that assumption.
 		for _, mutex := range fields {
@@ -102,16 +166,8 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, recv, typ string, fields
 func checkAccesses(pass *analysis.Pass, node ast.Node, fact lockstate.Fact,
 	fd *ast.FuncDecl, recv, typ string, fields map[string]string, seen map[string]bool) {
 	cfg.Walk(node, func(c ast.Node) bool {
-		sel, ok := c.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != recv {
-			return true
-		}
-		mutex, guarded := fields[sel.Sel.Name]
-		if !guarded || lockstate.Held(fact, recv+"."+mutex) {
+		sel, mutex := guardedAccess(c, recv, fields)
+		if sel == nil || lockstate.Held(fact, recv+"."+mutex) {
 			return true
 		}
 		key := fmt.Sprintf("%v|%s", sel.Pos(), sel.Sel.Name)
@@ -122,6 +178,59 @@ func checkAccesses(pass *analysis.Pass, node ast.Node, fact lockstate.Fact,
 		report(pass, sel.Pos(), recv, sel.Sel.Name, mutex, typ, fd.Name.Name)
 		return true
 	})
+}
+
+// checkClosures judges the guarded accesses inside fd's function
+// literals, nested ones included: each needs a recv.<mutex>.Lock() or
+// RLock() call somewhere in fd.
+func checkClosures(pass *analysis.Pass, fd *ast.FuncDecl, recv, typ string, fields map[string]string) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		ast.Inspect(lit.Body, func(c ast.Node) bool {
+			sel, mutex := guardedAccess(c, recv, fields)
+			if sel != nil && !locksSomewhere(fd.Body, recv+"."+mutex) {
+				pass.Reportf(sel.Pos(),
+					"%s.%s is guarded by %q but method %s.%s never locks %s.%s (access inside a function literal; suffix the name with Locked if the caller holds it)",
+					recv, sel.Sel.Name, mutex, typ, fd.Name.Name, recv, mutex)
+			}
+			return true
+		})
+		return false
+	})
+}
+
+// guardedAccess returns n as a recv.field selector of a guarded field,
+// with the field's mutex, or nil.
+func guardedAccess(n ast.Node, recv string, fields map[string]string) (*ast.SelectorExpr, string) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	if id, ok := sel.X.(*ast.Ident); !ok || id.Name != recv {
+		return nil, ""
+	}
+	mutex, guarded := fields[sel.Sel.Name]
+	if !guarded {
+		return nil, ""
+	}
+	return sel, mutex
+}
+
+// locksSomewhere reports whether body, closures included, calls
+// key.Lock() or key.RLock().
+func locksSomewhere(body *ast.BlockStmt, key string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			found = found || ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") && lockstate.Flatten(sel.X) == key
+		}
+		return !found
+	})
+	return found
 }
 
 func report(pass *analysis.Pass, pos token.Pos, recv, field, mutex, typ, method string) {

@@ -20,7 +20,8 @@ func TestFixtures(t *testing.T) {
 // TestMutationAccessAfterUnlock is the seeded mutation check from the
 // issue: moving the guarded `s.updatesApplied++` in Server.Update past
 // the unlock must produce exactly one guardedflow finding on the real
-// file — a mutation plain guardedby cannot see (the method still locks).
+// file — a mutation no lock-somewhere check can see (the method still
+// locks).
 func TestMutationAccessAfterUnlock(t *testing.T) {
 	src := readServerGo(t)
 	mutated := strings.Replace(src,

@@ -1,6 +1,6 @@
 // Fixture for guardedflow, part 2: methods of the struct declared in
 // types.go. Clean methods pin false-positive behaviour; want-lines pin
-// the flow-sensitive findings guardedby (comment-presence) cannot see.
+// the findings.
 package server
 
 // The canonical patterns stay clean.
@@ -31,8 +31,7 @@ func (q *Queue) DrainAll() int {
 	return n
 }
 
-// guardedby passes this method — it locks mu *somewhere*. guardedflow
-// sees the access happens after the unlock.
+// The method locks mu, but the access happens after the unlock.
 func (q *Queue) AfterUnlock() int {
 	q.mu.Lock()
 	q.mu.Unlock()
@@ -76,10 +75,37 @@ func (q *Queue) leakyLocked() int {
 	return q.total // want `q\.total is guarded by "mu"`
 }
 
-// Closure bodies are exempt by design: they run at call time under the
-// call site's lock regime (the race detector covers the dynamics).
+// The annotation on the line above the field counts too.
+func (q *Queue) Drops() int {
+	return q.drops // want `q\.drops is guarded by "mu" but q\.mu is not provably held here`
+}
+
+// Holding the struct's other mutex proves nothing about mu's fields.
+func (q *Queue) Peek() int {
+	q.rw.RLock()
+	defer q.rw.RUnlock()
+	_ = q.view     // rw is held: fine
+	return q.total // want `q\.total is guarded by "mu" but q\.mu is not provably held here`
+}
+
+// A closure runs under its call site's lock regime, so it only needs
+// the enclosing method to lock mu somewhere...
+func (q *Queue) PopWith(f func(func() int) int) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return f(func() int { return q.total })
+}
+
+// ...and is a finding in a method that never does.
 func (q *Queue) observer() func() int {
-	return func() int { return q.total }
+	return func() int { return q.total } // want `q\.total is guarded by "mu" but method Queue\.observer never locks q\.mu`
+}
+
+// The annotation trailing a longer doc sentence counts too.
+func (q *Queue) Async() func() {
+	return func() {
+		q.hits++ // want `q\.hits is guarded by "mu" but method Queue\.Async never locks q\.mu`
+	}
 }
 
 // A method of an unannotated struct is out of scope entirely.

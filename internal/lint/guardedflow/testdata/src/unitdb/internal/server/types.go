@@ -11,4 +11,11 @@ type Queue struct {
 	items   []int // guarded by mu
 	total   int   // guarded by mu
 	victims int   // guarded by mu
+	// guarded by mu
+	drops int
+	// hits counts Async calls. // guarded by mu
+	hits int
+
+	rw   sync.RWMutex
+	view []int // guarded by rw
 }

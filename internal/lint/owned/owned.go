@@ -52,9 +52,9 @@ type Owned map[string]map[string]string
 
 // CollectOwned finds "owned by" annotated fields across the package.
 // Channel-typed fields are excluded: for a channel, "owned by" names
-// who may close it (the chandisc analyzer's discipline), not who may
-// communicate over it — receives from a quit channel inside the very
-// goroutines it stops are the normal pattern, not a violation.
+// who may close it, not who may communicate over it — receives from a
+// quit channel inside the very goroutines it stops are the normal
+// pattern, not a violation.
 func CollectOwned(files []*ast.File) Owned {
 	o := Owned{}
 	for _, file := range files {
@@ -71,7 +71,7 @@ func CollectOwned(files []*ast.File) Owned {
 				if _, isChan := field.Type.(*ast.ChanType); isChan {
 					continue
 				}
-				owner := OwnerAnnotation(field)
+				owner := ownerAnnotation(field)
 				if owner == "" {
 					continue
 				}
@@ -90,10 +90,9 @@ func CollectOwned(files []*ast.File) Owned {
 	return o
 }
 
-// OwnerAnnotation extracts the "owned by <name>" owner from a struct
-// field's doc or trailing comment ("" when unannotated). Shared with
-// chandisc, which applies the same grammar to channel fields.
-func OwnerAnnotation(field *ast.Field) string {
+// ownerAnnotation extracts the "owned by <name>" owner from a struct
+// field's doc or trailing comment ("" when unannotated).
+func ownerAnnotation(field *ast.Field) string {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if cg == nil {
 			continue

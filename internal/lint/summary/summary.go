@@ -189,16 +189,6 @@ func sortedSet(set map[string]bool) []string {
 	return out
 }
 
-// AcquiresClass reports whether fn may (transitively) acquire class.
-func (s *Summary) AcquiresClass(fn callgraph.FuncID, class string) bool {
-	for _, c := range s.Acquires[fn] {
-		if c == class {
-			return true
-		}
-	}
-	return false
-}
-
 // --- map-order taint ---
 
 // Taint is the dataflow fact: the set of flattened variable names that

@@ -1,29 +1,24 @@
-// Package unitlint is the multichecker driving UNIT's thirteen
-// invariant analyzers. Four are syntactic: detclock (no wall clock in
-// the simulator core), seededrand (no global math/rand anywhere),
-// guardedby (lock annotations on concurrent structs exist), and
+// Package unitlint is the multichecker driving UNIT's nine invariant
+// analyzers. Three are syntactic: detclock (no wall clock in the
+// simulator core), seededrand (no global math/rand anywhere), and
 // usmrange (literal freshness and penalty weights stay in the paper's
 // domains). Three are flow-sensitive, built on internal/lint/cfg and
 // internal/lint/dataflow: locksafe (every mutex acquired is released on
-// all paths, no double lock/unlock), guardedflow (guarded-field
-// accesses happen where the mutex is provably held), and outcomeonce
-// (every path records exactly one terminal transaction outcome). Three
-// are interprocedural, built on the internal/lint/callgraph +
-// internal/lint/summary layer (whose per-package summaries are computed
-// once and cached, shared by all consumers), with the call graph
-// devirtualized CHA-style — interface calls and stored function values
-// resolve to every package-local candidate: deadlock (no lock-order
-// cycles, no call into a function that re-acquires a held mutex), owned
-// ('// owned by <method>' fields are never touched from spawned
-// goroutines or HTTP handlers), and maporder (map iteration order never
-// escapes into deterministic output unsorted). Three guard the
-// concurrency primitives themselves: atomicsafe (fields accessed via
-// sync/atomic are never read or written plainly), chandisc (channel
-// close discipline: only the annotated owner closes, no double close,
-// no send after close), and wgsafe (WaitGroup discipline: Add before
-// the go statement, never after Wait, Done balanced). The driver also
-// audits //unitlint:ignore comments (analyzer name "ignore"): scoped,
-// reasoned ignores suppress; malformed ones are findings.
+// all paths, no double lock/unlock), guardedflow ('// guarded by mu'
+// field accesses happen where the mutex is provably held), and
+// outcomeonce (every path records exactly one terminal transaction
+// outcome). Three are interprocedural, built on the
+// internal/lint/callgraph + internal/lint/summary layer (whose
+// per-package summaries are computed once and cached, shared by all
+// consumers), with the call graph devirtualized CHA-style — interface
+// calls and stored function values resolve to every package-local
+// candidate: deadlock (no lock-order cycles, no call into a function
+// that re-acquires a held mutex), owned ('// owned by <method>' fields
+// are never touched from spawned goroutines or HTTP handlers), and
+// maporder (map iteration order never escapes into deterministic output
+// unsorted). The driver also audits //unitlint:ignore comments (analyzer
+// name "ignore"): scoped, reasoned ignores suppress; malformed ones are
+// findings.
 //
 // cmd/unitlint is a thin main around Main; tests drive Run directly.
 // Findings can stream as JSON lines (one object per finding) and be
@@ -44,11 +39,8 @@ import (
 	"time"
 
 	"unitdb/internal/lint/analysis"
-	"unitdb/internal/lint/atomicsafe"
-	"unitdb/internal/lint/chandisc"
 	"unitdb/internal/lint/deadlock"
 	"unitdb/internal/lint/detclock"
-	"unitdb/internal/lint/guardedby"
 	"unitdb/internal/lint/guardedflow"
 	"unitdb/internal/lint/loader"
 	"unitdb/internal/lint/locksafe"
@@ -57,14 +49,12 @@ import (
 	"unitdb/internal/lint/owned"
 	"unitdb/internal/lint/seededrand"
 	"unitdb/internal/lint/usmrange"
-	"unitdb/internal/lint/wgsafe"
 )
 
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	detclock.Analyzer,
 	seededrand.Analyzer,
-	guardedby.Analyzer,
 	usmrange.Analyzer,
 	locksafe.Analyzer,
 	guardedflow.Analyzer,
@@ -72,9 +62,6 @@ var Analyzers = []*analysis.Analyzer{
 	deadlock.Analyzer,
 	owned.Analyzer,
 	maporder.Analyzer,
-	atomicsafe.Analyzer,
-	chandisc.Analyzer,
-	wgsafe.Analyzer,
 }
 
 // Select returns the analyzers named in the comma-separated list, or the

@@ -47,8 +47,8 @@ func TestRepoIsClean(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	all, err := unitlint.Select("")
-	if err != nil || len(all) != 13 {
-		t.Fatalf("Select(\"\") = %d analyzers, err %v; want the full suite of 13", len(all), err)
+	if err != nil || len(all) != 9 {
+		t.Fatalf("Select(\"\") = %d analyzers, err %v; want the full suite of 9", len(all), err)
 	}
 	two, err := unitlint.Select("locksafe, outcomeonce")
 	if err != nil || len(two) != 2 || two[0].Name != "locksafe" || two[1].Name != "outcomeonce" {

@@ -49,7 +49,7 @@ var (
 // Counter is a monotonically increasing integer. Inc and Add are a single
 // atomic add; Value is a single atomic load.
 type Counter struct {
-	v atomic.Int64 // atomic-only access (atomicsafe); a plain read/write races Inc
+	v atomic.Int64 // typed handle: c.v++ does not compile, a copy is a vet copylocks finding
 }
 
 // Inc adds one.
@@ -69,7 +69,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous float64 value. Set and Value are a single
 // atomic store/load of the float bits.
 type Gauge struct {
-	bits atomic.Uint64 // float64 bits; atomic-only access (atomicsafe)
+	bits atomic.Uint64 // float64 bits; a typed handle, like Counter.v
 }
 
 // Set records the current value.
@@ -89,16 +89,19 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // exact trace span that fattened it — /debug/slow and
 // /debug/trace?query=<id> complete the loop. Exemplar id 0 means "none"
 // (callers allocate ids starting at 1).
+//
+// Every atomic field is a typed handle, so a plain read or write does not
+// compile and a copy is a vet copylocks finding.
 type Histogram struct {
 	lo, hi    float64
 	width     float64
 	buckets   []atomic.Int64
-	exemplars []atomic.Int64 // per-bucket most recent id; atomic-only access (atomicsafe)
-	under     atomic.Int64   // atomic-only access (atomicsafe)
-	over      atomic.Int64   // atomic-only access (atomicsafe)
-	underEx   atomic.Int64   // atomic-only access (atomicsafe)
-	overEx    atomic.Int64   // atomic-only access (atomicsafe)
-	sumBits   atomic.Uint64  // float64 bits, CAS loop in Observe; atomic-only access
+	exemplars []atomic.Int64 // per-bucket most recent id
+	under     atomic.Int64
+	over      atomic.Int64
+	underEx   atomic.Int64
+	overEx    atomic.Int64
+	sumBits   atomic.Uint64 // float64 bits, CAS loop in Observe
 }
 
 func newHistogram(lo, hi float64, n int) *Histogram {

@@ -230,7 +230,7 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 // Server is the live web-database. Create with New, stop with Close.
 //
 // Locking: mu is the single coarse lock; every field annotated
-// "guarded by mu" may only be touched while holding it (the guardedby
+// "guarded by mu" may only be touched while holding it (the guardedflow
 // analyzer in internal/lint enforces the convention, `go test -race`
 // checks the dynamics). cfg, start, cond, wg and stopCh are set in New
 // before the Server escapes and are immutable or internally synchronized

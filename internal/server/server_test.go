@@ -152,6 +152,16 @@ func TestCloseIsIdempotentAndFailsQueries(t *testing.T) {
 	}
 }
 
+// TestNewCloseWaitsForWorkers pins that New adds every goroutine it
+// spawns to the WaitGroup before it returns, so a Close straight after
+// New waits for all of them. A wg.Add(1) folded into the spawned literal
+// races Close's Wait, which -race reports within the 200 rounds.
+func TestNewCloseWaitsForWorkers(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		newTestServer(t, func(c *Config) { c.Workers = 4 }).Close()
+	}
+}
+
 func TestConcurrentTraffic(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.Workers = 4 })
 	var wg sync.WaitGroup

@@ -135,6 +135,24 @@ func TestShardedCrossShardRejectionCountedOnce(t *testing.T) {
 	}
 }
 
+// TestShardedCloseClosesEveryShard: Close returns only after every shard
+// has closed. A wg.Add(1) folded into the per-shard goroutine lets Wait
+// return before any of them ran.
+func TestShardedCloseClosesEveryShard(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		g := newTestSharded(t, 4)
+		g.Close()
+		for k, s := range g.shards {
+			s.mu.Lock()
+			closed := s.closed
+			s.mu.Unlock()
+			if !closed {
+				t.Fatalf("round %d: shard %d still open after Close", i, k)
+			}
+		}
+	}
+}
+
 // TestShardedSingleShardFastPath: a query whose items all live on one
 // shard is answered by that shard alone.
 func TestShardedSingleShardFastPath(t *testing.T) {
