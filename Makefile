@@ -137,14 +137,15 @@ profile-live:
 	  -cpuprofile profiles/live-cpu.pprof -memprofile profiles/live-mem.pprof -o profiles/server.test ./internal/server/
 
 # Replication pin: the QuickConfig experiment suite must reproduce the
-# checked-in golden JSON byte-for-byte, sequentially and in parallel.
+# checked-in golden JSON byte-for-byte, sequentially and in parallel,
+# under -race as CI runs it.
 golden:
-	$(GO) test ./internal/experiments/ -run TestGoldenQuickReplication -v
+	$(GO) test -race -run TestGoldenQuickReplication -v ./internal/experiments/
 
 # Size of the root module: non-blank Go lines of tracked files outside
 # bench/ (a module of its own), split into non-test and test.
 loc:
 	@git ls-files -z '*.go' ':!bench' | xargs -0 awk 'NF { if (FILENAME ~ /_test\.go$$/) t++; else n++ } END { printf "non-test %d\ntest %d\ntotal %d\n", n, t, n + t }'
 
-# Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios profile-sim profile-live obs-smoke bench-e2e-smoke
+# Everything CI runs, in CI's order (the shard matrix runs inside test).
+ci: build lint test race golden chaos scenarios profile-sim profile-live fuzz obs-smoke bench-e2e-smoke

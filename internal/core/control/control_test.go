@@ -9,30 +9,38 @@ import (
 
 func newLBC(w usm.Weights) *LBC { return New(w, stats.NewRNG(1)) }
 
+// TestThresholdIsOnePercentOfRange: the drop trigger fires on a fall of
+// more than 1% of the USM range, 1 + max penalty.
 func TestThresholdIsOnePercentOfRange(t *testing.T) {
-	l := newLBC(usm.Weights{Cr: 1, Cfm: 4, Cfs: 2})
-	if got, want := l.Threshold(), 0.01*(1+4); got != want {
-		t.Fatalf("threshold = %v, want %v", got, want)
+	cases := []struct {
+		name      string
+		w         usm.Weights
+		threshold float64
+	}{
+		{"naive weights", usm.Weights{}, 0.01},
+		{"max penalty 4", usm.Weights{Cr: 1, Cfm: 4, Cfs: 2}, 0.05},
 	}
-	l2 := New(usm.Weights{}, stats.NewRNG(1), WithThresholdFraction(0.05))
-	if l2.Threshold() != 0.05 {
-		t.Fatalf("custom threshold = %v", l2.Threshold())
+	for _, c := range cases {
+		l := newLBC(c.w)
+		l.DropTriggered(0.5)
+		if l.DropTriggered(0.5 - 0.9*c.threshold) {
+			t.Errorf("%s: a fall of 0.9 thresholds triggered", c.name)
+		}
+		if !l.DropTriggered(0.5 - 2*c.threshold) {
+			t.Errorf("%s: a fall of 1.1 thresholds did not trigger", c.name)
+		}
 	}
 }
 
 func TestOptionValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New(usm.Weights{Cr: -1}, stats.NewRNG(1)) },
-		func() { New(usm.Weights{}, stats.NewRNG(1), WithThresholdFraction(0)) },
-		func() { New(usm.Weights{}, stats.NewRNG(1), WithThresholdFraction(1)) },
-	} {
+	for _, w := range []usm.Weights{{Cr: -1}, {Cfm: -1}, {Cfs: -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid construction accepted")
+					t.Errorf("negative weights %+v accepted", w)
 				}
 			}()
-			fn()
+			New(w, stats.NewRNG(1))
 		}()
 	}
 }
@@ -52,10 +60,12 @@ func TestDropTriggered(t *testing.T) {
 	if l.DropTriggered(0.95) {
 		t.Fatal("rise triggered")
 	}
-	_, trig := l.Stats()
-	if trig != 1 {
-		t.Fatalf("trigger count = %d", trig)
-	}
+}
+
+// decide runs one decision on plain counts and drops the costs.
+func decide(l *LBC, c usm.Counts) Action {
+	a, _ := l.DecideExplained(c)
+	return a
 }
 
 func TestDecideDominantCostMapping(t *testing.T) {
@@ -71,7 +81,7 @@ func TestDecideDominantCostMapping(t *testing.T) {
 	}
 	for _, c := range cases {
 		l := newLBC(usm.Weights{})
-		if got := l.Decide(c.counts); got != c.want {
+		if got := decide(l, c.counts); got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -81,7 +91,7 @@ func TestDecideUsesWeightedCosts(t *testing.T) {
 	// Raw ratios favor DMF (4 vs 1 rejection) but C_r dwarfs C_fm, so the
 	// weighted cost comparison must pick the rejection branch.
 	l := newLBC(usm.Weights{Cr: 10, Cfm: 0.1, Cfs: 0.1})
-	got := l.Decide(usm.Counts{Success: 5, Rejected: 1, DMF: 4})
+	got := decide(l, usm.Counts{Success: 5, Rejected: 1, DMF: 4})
 	if !got.LoosenAC {
 		t.Fatalf("weighted decision = %v, want LoosenAC", got)
 	}
@@ -90,7 +100,7 @@ func TestDecideUsesWeightedCosts(t *testing.T) {
 func TestDecideNaiveUsesRawRatios(t *testing.T) {
 	// All-zero weights: Fig. 2 lines 2-3 fall back to the raw ratios.
 	l := newLBC(usm.Weights{})
-	got := l.Decide(usm.Counts{Success: 1, DSF: 5, DMF: 2, Rejected: 1})
+	got := decide(l, usm.Counts{Success: 1, DSF: 5, DMF: 2, Rejected: 1})
 	if !got.UpgradeUpdate {
 		t.Fatalf("naive decision = %v, want UpgradeUpdate", got)
 	}
@@ -98,10 +108,10 @@ func TestDecideNaiveUsesRawRatios(t *testing.T) {
 
 func TestDecideNoFailuresNoAction(t *testing.T) {
 	l := newLBC(usm.Weights{Cr: 1, Cfm: 1, Cfs: 1})
-	if got := l.Decide(usm.Counts{Success: 100}); !got.None() {
+	if got := decide(l, usm.Counts{Success: 100}); !got.None() {
 		t.Fatalf("all-success window produced %v", got)
 	}
-	if got := l.Decide(usm.Counts{}); !got.None() {
+	if got := decide(l, usm.Counts{}); !got.None() {
 		t.Fatalf("empty window produced %v", got)
 	}
 }
@@ -113,7 +123,7 @@ func TestDecideTieBreaksRandomly(t *testing.T) {
 	counts := usm.Counts{Rejected: 3, DMF: 3, DSF: 3, Success: 1}
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		seen[l.Decide(counts).String()] = true
+		seen[decide(l, counts).String()] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("tie-break explored only %v", seen)
@@ -127,16 +137,6 @@ func TestActionString(t *testing.T) {
 	a := Action{DegradeUpdate: true, TightenAC: true}
 	if a.String() != "TAC DU" {
 		t.Fatalf("action string = %q", a.String())
-	}
-}
-
-func TestDecisionCounter(t *testing.T) {
-	l := newLBC(usm.Weights{})
-	l.Decide(usm.Counts{Rejected: 1})
-	l.Decide(usm.Counts{Success: 1}) // no action: not counted
-	dec, _ := l.Stats()
-	if dec != 1 {
-		t.Fatalf("decisions = %d", dec)
 	}
 }
 

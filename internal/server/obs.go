@@ -6,6 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"unitdb/internal/core"
+	"unitdb/internal/core/control"
 	"unitdb/internal/obs/metrics"
 	"unitdb/internal/obs/trace"
 	"unitdb/internal/txn"
@@ -50,10 +52,6 @@ type serverObs struct {
 	decisions *metrics.Counter
 	actions   map[string]*metrics.Counter
 }
-
-// lbcActionLabels are the exposition labels of the four Fig. 2 control
-// signals.
-var lbcActionLabels = []string{"loosen_ac", "tighten_ac", "degrade_update", "upgrade_update"}
 
 // stageLabels are the exposition labels of the latency-attribution
 // stages, matching the trace.StageBreakdown fields. The live server has
@@ -140,9 +138,9 @@ func newServerObs(reg *metrics.Registry, traceCap int, rec *trace.Recorder, extr
 		"Items whose stored copy lags its source feed.", lab()...)
 	o.decisions = reg.Counter("unit_lbc_decisions_total",
 		"Load Balancing Controller allocation decisions (paper Fig. 2).", lab()...)
-	for _, a := range lbcActionLabels {
+	for _, a := range core.SignalNames {
 		o.actions[a] = reg.Counter("unit_lbc_actions_total",
-			"Control signals fired by LBC decisions.",
+			"Actuator moves applied by LBC decisions.",
 			lab(metrics.Label{Key: "action", Value: a})...)
 	}
 	return o
@@ -265,20 +263,14 @@ func (t *slowTracker) topN(n int) []slowEntry {
 	return out
 }
 
-// recordActions tallies one decision's control signals.
-func (o *serverObs) recordActions(loosen, tighten, degrade, upgrade bool) {
+// recordActions tallies one decision and the actuator moves the kernel
+// applied for it.
+func (o *serverObs) recordActions(a control.Action) {
 	o.decisions.Inc()
-	if loosen {
-		o.actions["loosen_ac"].Inc()
-	}
-	if tighten {
-		o.actions["tighten_ac"].Inc()
-	}
-	if degrade {
-		o.actions["degrade_update"].Inc()
-	}
-	if upgrade {
-		o.actions["upgrade_update"].Inc()
+	for i, on := range core.Moves(a) {
+		if on {
+			o.actions[core.SignalNames[i]].Inc()
+		}
 	}
 }
 

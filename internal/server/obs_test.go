@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"unitdb/internal/core/usm"
 	"unitdb/internal/obs/promtext"
 )
 
@@ -307,6 +308,70 @@ func TestControllerDecisionLog(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Skip("no LBC decision fired within the time budget on this machine")
+}
+
+// newManualServer returns a test server whose control loop never ticks on
+// its own (hour-long period and grace), so a test steps controlTick
+// itself; only the USM-drop trigger can then decide.
+func newManualServer(t *testing.T, mutate ...func(*Config)) *Server {
+	return newTestServer(t, append([]func(*Config){func(c *Config) {
+		c.ControlPeriod, c.GracePeriod = time.Hour, time.Hour
+	}}, mutate...)...)
+}
+
+// tickAfter runs n copies of req, then one control tick.
+func tickAfter(t *testing.T, s *Server, n int, req QueryRequest, want Outcome) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if resp := s.Query(req); resp.Outcome != want {
+			t.Fatalf("outcome %s, want %s", resp.Outcome, want)
+		}
+	}
+	s.controlTick()
+}
+
+var okQuery = QueryRequest{Items: []int{1}, Work: time.Millisecond, Deadline: time.Second}
+
+// TestControllerKeepsAdmissionWhenRejectionsCostMore: with C_r above
+// C_fm, a window of deadline misses degrades updates but must not tighten
+// admission, since that would trade misses for costlier rejections.
+func TestControllerKeepsAdmissionWhenRejectionsCostMore(t *testing.T) {
+	s := newManualServer(t, func(c *Config) {
+		c.Weights = usm.Weights{Cr: 0.8, Cfm: 0.2, Cfs: 0.2}
+		// The work overruns what the query declares, so admission lets it
+		// in and it misses its deadline on the worker.
+		c.QueryWork = func(req QueryRequest) { time.Sleep(req.Work + 15*time.Millisecond) }
+	})
+	tickAfter(t, s, 5, okQuery, OutcomeSuccess)
+	tickAfter(t, s, 5, QueryRequest{Items: []int{1}, Work: time.Millisecond, Deadline: 10 * time.Millisecond}, OutcomeDMF)
+	st := s.Stats()
+	if st.LBCDecisions != 1 || st.LBCSignals["degrade_update"] != 1 {
+		t.Fatalf("decisions %d, signals %v; want one Degrade decision", st.LBCDecisions, st.LBCSignals)
+	}
+	if st.CFlex != 1 || st.LBCSignals["tighten_ac"] != 0 {
+		t.Fatalf("C_r > C_fm: C_flex = %v, signals %v; want C_flex 1 and no tighten_ac", st.CFlex, st.LBCSignals)
+	}
+}
+
+// TestIdleTickKeepsWindowUSM: a control tick with no new outcomes leaves
+// unit_usm_window at the last window's value instead of reading the empty
+// window's USM of 0.
+func TestIdleTickKeepsWindowUSM(t *testing.T) {
+	s := newManualServer(t)
+	tickAfter(t, s, 5, okQuery, OutcomeSuccess)
+	// Work beyond the deadline fails the admission deadline check.
+	tickAfter(t, s, 5, QueryRequest{Items: []int{1}, Work: 20 * time.Millisecond, Deadline: 5 * time.Millisecond}, OutcomeRejected)
+	if n := s.Stats().LBCDecisions; n != 1 {
+		t.Fatalf("decisions = %d, want 1", n)
+	}
+	// Five successes and five rejections at zero weights.
+	if got := s.obs.usmWindow.Value(); got != 0.5 {
+		t.Fatalf("unit_usm_window at the decision = %v, want 0.5", got)
+	}
+	s.controlTick()
+	if got := s.obs.usmWindow.Value(); got != 0.5 {
+		t.Fatalf("unit_usm_window after an idle tick = %v, want 0.5", got)
+	}
 }
 
 // scrape renders the server's registry exactly as /metrics would.

@@ -6,11 +6,10 @@
 // protect query timeliness; the Load Balancing Controller re-balances both
 // knobs from the windowed User Satisfaction Metric.
 //
-// The server exists to demonstrate the algorithm core (the same admission,
-// ufm, control and usm packages the simulator uses) against real
-// concurrency. Query and update "work" is carried as an explicit duration
-// parameter, standing in for the computation a production deployment would
-// run.
+// The server exists to demonstrate the algorithm core (core.Kernel, the
+// control kernel the simulator drives too) against real concurrency. Query
+// and update "work" is carried as an explicit duration parameter, standing
+// in for the computation a production deployment would run.
 package server
 
 import (
@@ -21,9 +20,8 @@ import (
 	"sync"
 	"time"
 
+	"unitdb/internal/core"
 	"unitdb/internal/core/admission"
-	"unitdb/internal/core/control"
-	"unitdb/internal/core/ufm"
 	"unitdb/internal/core/usm"
 	"unitdb/internal/datastore"
 	"unitdb/internal/obs/metrics"
@@ -48,9 +46,6 @@ type Config struct {
 	// MinDecisionSamples gates decisions on window size, as in the
 	// simulator policy.
 	MinDecisionSamples int
-	// DegradeBatch is the lottery-draw batch per Degrade signal
-	// (default NumItems).
-	DegradeBatch int
 	// MaxQueue bounds the ready queue; arrivals beyond it are rejected
 	// outright (an overload backstop, not part of the paper's algorithm).
 	MaxQueue int
@@ -252,22 +247,17 @@ type Server struct {
 
 	// The algorithm cores are single-threaded objects; mu serializes
 	// every call into them.
-	store *datastore.Store      // guarded by mu
-	ac    *admission.Controller // guarded by mu
-	mod   *ufm.Modulator        // guarded by mu
-	lbc   *control.LBC          // guarded by mu
-	acct  *usm.Accountant       // guarded by mu
-	rng   *stats.RNG            // guarded by mu
+	store *datastore.Store     // guarded by mu
+	kern  *core.Kernel         // guarded by mu
+	acct  *usm.ClassAccountant // guarded by mu
 
 	queue   *readyq.Queue // guarded by mu; queries only (updates apply inline)
 	backlog float64       // guarded by mu; queued work, seconds
 	running float64       // guarded by mu; in-flight work, seconds
 
-	lastApplied   []time.Time  // guarded by mu
-	lastArrival   []time.Time  // guarded by mu
-	interArrival  []stats.EWMA // guarded by mu
-	sinceDecision usm.Counts   // guarded by mu
-	lastDecision  time.Time    // guarded by mu
+	lastApplied  []time.Time  // guarded by mu
+	lastArrival  []time.Time  // guarded by mu
+	interArrival []stats.EWMA // guarded by mu
 
 	updatesApplied int   // guarded by mu
 	updatesDropped int   // guarded by mu
@@ -282,9 +272,6 @@ type Server struct {
 	// recorder); set in New, immutable afterwards, internally
 	// synchronized — hot-path updates are atomics outside mu.
 	obs *serverObs
-
-	lbcDecisions int            // guarded by mu
-	signals      map[string]int // guarded by mu; fired control signals by name
 
 	winLog  []outcomeStamp // guarded by mu; ring of recent finalized outcomes
 	winNext int            // guarded by mu; next ring slot once full
@@ -310,9 +297,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MinDecisionSamples <= 0 {
 		cfg.MinDecisionSamples = 20
-	}
-	if cfg.DegradeBatch <= 0 {
-		cfg.DegradeBatch = cfg.NumItems
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4096
@@ -341,31 +325,32 @@ func New(cfg Config) (*Server, error) {
 	for i := range ideal {
 		ideal[i] = math.Inf(1) // learned online from feed inter-arrivals
 	}
-	rng := stats.NewRNG(cfg.Seed)
+	obs := newServerObs(cfg.obsRegistry, cfg.TraceCap, cfg.Trace, cfg.obsLabels...)
+	kcfg := core.Config{
+		Weights:            cfg.Weights,
+		GracePeriod:        cfg.GracePeriod.Seconds(),
+		MinDecisionSamples: cfg.MinDecisionSamples,
+		Seed:               cfg.Seed,
+	}
 	s := &Server{
 		cfg:          cfg,
 		start:        time.Now(),
 		store:        datastore.New(cfg.NumItems),
-		ac:           admission.New(cfg.Weights),
-		mod:          ufm.New(ideal, rng.Split()),
-		lbc:          control.New(cfg.Weights, rng.Split()),
-		acct:         usm.NewAccountant(cfg.Weights),
-		rng:          rng,
+		kern:         core.NewKernel(kcfg, ideal, obs.rec),
+		acct:         usm.NewClassAccountant(cfg.Weights, nil),
 		queue:        readyq.New(),
 		lastApplied:  make([]time.Time, cfg.NumItems),
 		lastArrival:  make([]time.Time, cfg.NumItems),
 		interArrival: make([]stats.EWMA, cfg.NumItems),
-		obs:          newServerObs(cfg.obsRegistry, cfg.TraceCap, cfg.Trace, cfg.obsLabels...),
-		signals:      make(map[string]int),
+		obs:          obs,
 		nextID:       cfg.FirstID,
 		stopCh:       make(chan struct{}),
 	}
-	s.obs.cflex.Set(s.ac.CFlex())
+	s.obs.cflex.Set(s.kern.Admission().CFlex())
 	for i := range s.interArrival {
 		s.interArrival[i] = *stats.NewEWMA(0.3)
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.lastDecision = s.start
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -484,7 +469,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	}
 	// Updates apply inline, so the only work ahead of the queue is what the
 	// workers are running; the walk reads the queue in place, under s.mu.
-	if s.ac.AdmitOrdered(now, tx, s.running, s.queue.EDFQueries()) != admission.Admitted {
+	if s.kern.Admission().AdmitOrdered(now, tx, s.running, s.queue.EDFQueries()) != admission.Admitted {
 		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: tx.ID})
 		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
 		s.mu.Unlock()
@@ -569,22 +554,23 @@ func (s *Server) Update(req UpdateRequest) (bool, error) {
 		return false, fmt.Errorf("server: closed")
 	}
 	now := time.Now()
+	mod := s.kern.Modulator()
 	// Learn the feed's ideal period from observed inter-arrival times.
 	if !s.lastArrival[req.Item].IsZero() {
 		s.interArrival[req.Item].Observe(now.Sub(s.lastArrival[req.Item]).Seconds())
 	}
 	s.lastArrival[req.Item] = now
 	if p := s.interArrival[req.Item].Value(); p > 0 {
-		s.mod.SetIdealPeriod(req.Item, p)
+		mod.SetIdealPeriod(req.Item, p)
 	}
-	s.mod.OnUpdate(req.Item, req.Work.Seconds())
+	mod.OnUpdate(req.Item, req.Work.Seconds())
 
 	// Throttle only items the controller actually degraded. Live feeds
 	// jitter, so comparing each inter-arrival against the learned mean
 	// period would drop roughly half of a healthy feed's writes; an
 	// undegraded item therefore always applies.
-	period := s.mod.Period(req.Item)
-	ideal := s.mod.IdealPeriod(req.Item)
+	period := mod.Period(req.Item)
+	ideal := mod.IdealPeriod(req.Item)
 	degradedItem := !math.IsInf(ideal, 1) && period > ideal*(1+1e-9)
 	if degradedItem && !s.lastApplied[req.Item].IsZero() {
 		if now.Sub(s.lastApplied[req.Item]).Seconds() < period*(1-1e-9) {
@@ -662,18 +648,12 @@ func (s *Server) StatsWindow(window time.Duration) Stats {
 }
 
 func (s *Server) statsLocked() Stats {
-	counts := s.acct.Total()
-	// Deep-copy the signal map: the live map keeps mutating under mu
-	// after the snapshot escapes.
-	signals := make(map[string]int, len(s.signals))
-	for k, v := range s.signals {
-		signals[k] = v
-	}
+	total := s.acct.Total()
 	return Stats{
-		Counts:            counts,
-		USM:               counts.USM(s.cfg.Weights),
-		CFlex:             s.ac.CFlex(),
-		DegradedItems:     s.mod.DegradedCount(),
+		Counts:            total.Counts,
+		USM:               total.USM(),
+		CFlex:             s.kern.Admission().CFlex(),
+		DegradedItems:     s.kern.Modulator().DegradedCount(),
 		UpdatesApplied:    s.updatesApplied,
 		UpdatesDropped:    s.updatesDropped,
 		QueueLength:       s.queue.Len(),
@@ -685,8 +665,8 @@ func (s *Server) statsLocked() Stats {
 		QueriesCanceled: s.canceled,
 		QueriesDrained:  s.drained,
 
-		LBCDecisions: s.lbcDecisions,
-		LBCSignals:   signals,
+		LBCDecisions: s.kern.Decisions(),
+		LBCSignals:   s.kern.SignalCounts(),
 	}
 }
 
@@ -737,15 +717,13 @@ func (s *Server) retryAfterLocked() time.Duration {
 }
 
 // finalizeLocked records a query's terminal outcome into the USM
-// accountant and feeds the modulation layer; callers hold s.mu.
+// accountant and feeds its demand to the kernel; callers hold s.mu.
 //
 //unitlint:outcome tx
 func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageBreakdown) {
 	tx.Outcome = o
-	s.acct.Record(o)
-	for _, item := range tx.Items {
-		s.mod.OnQueryAccess(item, tx.EstExec, tx.RelDeadline)
-	}
+	s.acct.Record(o, tx.PrefClass)
+	s.kern.OnQueryDone(tx)
 	if stages == nil {
 		// Rejected at admission: nothing accrued, mirroring the engine's
 		// all-zero breakdown for rejects.
@@ -760,8 +738,7 @@ func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageB
 		s.winLog[s.winNext] = st
 		s.winNext = (s.winNext + 1) % winLogCap
 	}
-	total := s.acct.Total()
-	s.obs.usmTotal.Set(total.USM(s.cfg.Weights))
+	s.obs.usmTotal.Set(s.acct.Total().USM())
 }
 
 // worker pops EDF queries and executes them.
@@ -875,61 +852,22 @@ func (s *Server) controlLoop() {
 	}
 }
 
+// controlTick hands the kernel the outcomes finalized since the last tick
+// and publishes the resulting controller state. An empty decision window
+// leaves unit_usm_window alone: its USM reads 0, the value of a
+// half-failed window, not of an idle one.
 func (s *Server) controlTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sinceDecision.Add(s.acct.Rollover())
-	windowUSM := s.sinceDecision.USM(s.cfg.Weights)
-	s.obs.usmWindow.Set(windowUSM)
-	if s.sinceDecision.Total() < s.cfg.MinDecisionSamples {
+	st := s.kern.Tick(s.now(), s.acct.Rollover())
+	if st.Samples > 0 {
+		s.obs.usmWindow.Set(st.WindowUSM)
+	}
+	if !st.Decided {
 		return
 	}
-	samples := s.sinceDecision.Total()
-	trigger := time.Since(s.lastDecision) >= s.cfg.GracePeriod
-	dropped := s.lbc.DropTriggered(windowUSM)
-	if dropped {
-		trigger = true
-	}
-	if !trigger {
-		return
-	}
-	action, costs := s.lbc.DecideExplained(s.sinceDecision)
-	s.sinceDecision = usm.Counts{}
-	s.lastDecision = time.Now()
-	if action.LoosenAC {
-		s.ac.Loosen()
-		s.signals["loosen_ac"]++
-	}
-	if action.TightenAC {
-		s.ac.Tighten()
-		s.signals["tighten_ac"]++
-	}
-	if action.DegradeUpdate {
-		s.mod.DegradeN(s.cfg.DegradeBatch)
-		s.signals["degrade_update"]++
-	}
-	if action.UpgradeUpdate {
-		s.mod.Upgrade()
-		s.signals["upgrade_update"]++
-	}
-	s.lbcDecisions++
-	// Log the decision after applying it, so CFlex and DegradedItems show
-	// the resulting actuator settings (the decision log mirrors Fig. 2:
-	// weighted-cost inputs on the left, chosen allocation on the right).
-	s.obs.rec.RecordDecision(trace.Decision{
-		T:             s.now(),
-		Samples:       samples,
-		WindowUSM:     windowUSM,
-		RCost:         costs.R,
-		FmCost:        costs.Fm,
-		FsCost:        costs.Fs,
-		DropTriggered: dropped,
-		Action:        action.String(),
-		CFlex:         s.ac.CFlex(),
-		DegradedItems: s.mod.DegradedCount(),
-	})
-	s.obs.cflex.Set(s.ac.CFlex())
-	s.obs.degraded.Set(float64(s.mod.DegradedCount()))
+	s.obs.cflex.Set(s.kern.Admission().CFlex())
+	s.obs.degraded.Set(float64(s.kern.Modulator().DegradedCount()))
 	s.obs.staleness.Set(float64(s.store.StaleItems()))
-	s.obs.recordActions(action.LoosenAC, action.TightenAC, action.DegradeUpdate, action.UpgradeUpdate)
+	s.obs.recordActions(st.Applied)
 }
