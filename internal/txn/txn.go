@@ -116,7 +116,16 @@ type Txn struct {
 
 // NewQuery builds a user query transaction. Deadline is arrival+rel.
 func NewQuery(id int64, arrival float64, items []int, exec, rel, freshReq float64) *Txn {
-	return &Txn{
+	t := new(Txn)
+	t.InitQuery(id, arrival, items, exec, rel, freshReq)
+	return t
+}
+
+// InitQuery makes t, in place, the query NewQuery would build, clearing
+// every other field. It lets a driver that owns its transactions' storage
+// build them without one allocation each.
+func (t *Txn) InitQuery(id int64, arrival float64, items []int, exec, rel, freshReq float64) {
+	*t = Txn{
 		ID:          id,
 		Class:       ClassQuery,
 		Arrival:     arrival,
@@ -134,14 +143,23 @@ func NewQuery(id int64, arrival float64, items []int, exec, rel, freshReq float6
 // NewUpdate builds an update transaction for a single data item. deadline
 // is the absolute EDF ordering deadline (typically arrival + period).
 func NewUpdate(id int64, arrival float64, item int, exec, deadline float64) *Txn {
-	return &Txn{
+	t := new(Txn)
+	t.InitUpdate(id, arrival, []int{item}, exec, deadline)
+	return t
+}
+
+// InitUpdate makes t, in place, an update transaction writing item[0],
+// clearing every other field. item is a one-element slice so that a driver
+// can hand every update of an item the same immutable storage.
+func (t *Txn) InitUpdate(id int64, arrival float64, item []int, exec, deadline float64) {
+	*t = Txn{
 		ID:        id,
 		Class:     ClassUpdate,
 		Arrival:   arrival,
 		Deadline:  deadline,
 		Exec:      exec,
 		Remaining: exec,
-		Items:     []int{item},
+		Items:     item,
 	}
 }
 

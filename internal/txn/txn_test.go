@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,24 @@ func TestNewUpdateFields(t *testing.T) {
 	}
 	if u.Deadline != 6.0 {
 		t.Fatalf("deadline = %v", u.Deadline)
+	}
+}
+
+// Reinitialising a used transaction in place must leave nothing of its
+// previous life behind: the result equals a freshly built one.
+func TestInitInPlaceMatchesNew(t *testing.T) {
+	used := NewQuery(9, 1, []int{4}, 2, 3, 0.5)
+	used.Restarts, used.Outcome, used.Owner, used.GatherID = 2, OutcomeDSF, "owner", 5
+	used.MarkReadSampled()
+	used.SetBlocked(true)
+
+	used.InitQuery(7, 10.0, []int{1, 2}, 0.5, 3.0, 0.9)
+	if want := NewQuery(7, 10.0, []int{1, 2}, 0.5, 3.0, 0.9); !reflect.DeepEqual(used, want) {
+		t.Fatalf("InitQuery = %+v, want %+v", used, want)
+	}
+	used.InitUpdate(3, 5.0, []int{42}, 0.1, 6.0)
+	if want := NewUpdate(3, 5.0, 42, 0.1, 6.0); !reflect.DeepEqual(used, want) {
+		t.Fatalf("InitUpdate = %+v, want %+v", used, want)
 	}
 }
 
