@@ -181,6 +181,13 @@ type Engine struct {
 	// query's Owner until the query resolves or is abandoned.
 	freeTimers []*deadlineTimer // owned by Run
 	timers     int              // owned by Run; deadline timers allocated
+	// txns is the unused tail of the current transaction block. Blocks
+	// are never recycled, so every *txn.Txn of a run is distinct and
+	// outcome hooks, the trace and stages may key by pointer.
+	txns []txn.Txn // owned by Run
+	// itemIDs[i] == i. An update's Items is the capacity-capped window
+	// itemIDs[i:i+1:i+1], so no update allocates its one-item set.
+	itemIDs []int
 
 	pendingUpdate map[int]*txn.Txn         // owned by Run; latest enqueued-but-unapplied update per item
 	feedExec      map[int]float64          // owned by Run; update execution time per item (for refreshes)
@@ -235,6 +242,10 @@ func New(cfg Config, policy Policy) (*Engine, error) {
 		feedExec:      make(map[int]float64),
 	}
 	e.runEvent = e.sim.NewEvent(func() { e.complete(e.running) })
+	e.itemIDs = make([]int, cfg.Workload.NumItems)
+	for i := range e.itemIDs {
+		e.itemIDs[i] = i
+	}
 	for _, u := range cfg.Workload.Updates {
 		e.feedExec[u.Item] = u.Exec
 	}
@@ -331,8 +342,7 @@ func (e *Engine) FeedExec(item int) (float64, bool) {
 // EnqueueRefresh creates and enqueues an on-demand update transaction for
 // item with the given execution time and EDF deadline (ODU's mechanism).
 func (e *Engine) EnqueueRefresh(item int, exec, deadline float64) *txn.Txn {
-	e.nextID++
-	u := txn.NewUpdate(e.nextID, e.sim.Now(), item, exec, deadline)
+	u := e.newUpdate(e.sim.Now(), item, exec, deadline)
 	e.pendingUpdate[item] = u
 	e.ready.Push(u)
 	e.refreshesIssued++
@@ -435,7 +445,8 @@ func (e *Engine) presentQuery(spec workload.QuerySpec) {
 	if e.qd != nil {
 		exec *= e.qd.ScaleQueryExec(e.sim.Now())
 	}
-	q := txn.NewQuery(e.nextID, e.sim.Now(), spec.Items, exec, spec.RelDeadline, spec.FreshReq)
+	q := e.newTxn()
+	q.InitQuery(e.nextID, e.sim.Now(), spec.Items, exec, spec.RelDeadline, spec.FreshReq)
 	q.EstExec = spec.EstExec
 	q.PrefClass = spec.PrefClass
 	q.GatherID = spec.GatherID
@@ -456,6 +467,30 @@ func (e *Engine) presentQuery(spec workload.QuerySpec) {
 		}
 	}
 	e.dispatch()
+}
+
+// txnBlock is how many transactions one block holds: 128 of them stay
+// under 32 KiB, above which the runtime takes its slower large-object
+// path.
+const txnBlock = 128
+
+// newTxn returns the next unused transaction of the current block,
+// starting a new block when it is spent.
+func (e *Engine) newTxn() *txn.Txn {
+	if len(e.txns) == 0 {
+		e.txns = make([]txn.Txn, txnBlock)
+	}
+	t := &e.txns[0]
+	e.txns = e.txns[1:]
+	return t
+}
+
+// newUpdate builds the next update transaction for item.
+func (e *Engine) newUpdate(arrival float64, item int, exec, deadline float64) *txn.Txn {
+	e.nextID++
+	u := e.newTxn()
+	u.InitUpdate(e.nextID, arrival, e.itemIDs[item:item+1:item+1], exec, deadline)
+	return u
 }
 
 func (e *Engine) updateArrival(f *feed) {
@@ -502,8 +537,7 @@ func (e *Engine) updateArrival(f *feed) {
 		e.updatesDropped++
 		delete(e.pendingUpdate, spec.Item)
 	}
-	e.nextID++
-	u := txn.NewUpdate(e.nextID, now, spec.Item, exec, now+gap)
+	u := e.newUpdate(now, spec.Item, exec, now+gap)
 	e.pendingUpdate[spec.Item] = u
 	e.ready.Push(u)
 	e.dispatch()

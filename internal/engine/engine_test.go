@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"unitdb/internal/core/usm"
 	"unitdb/internal/txn"
@@ -376,5 +377,13 @@ func (p *busyProbe) OnControlTick() {
 	q, u := p.e.BusyTime()
 	if q+u > *p.probe {
 		*p.probe = q + u
+	}
+}
+
+// A transaction block must stay a small object: past 32 KiB the runtime
+// allocates it on its slower large-object path.
+func TestTxnBlockIsSmallObject(t *testing.T) {
+	if size := txnBlock * unsafe.Sizeof(txn.Txn{}); size > 32<<10 {
+		t.Fatalf("transaction block is %d bytes, want <= 32 KiB", size)
 	}
 }
