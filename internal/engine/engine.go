@@ -189,8 +189,8 @@ type Engine struct {
 	// itemIDs[i:i+1:i+1], so no update allocates its one-item set.
 	itemIDs []int
 
-	pendingUpdate map[int]*txn.Txn         // owned by Run; latest enqueued-but-unapplied update per item
-	feedExec      map[int]float64          // owned by Run; update execution time per item (for refreshes)
+	pendingUpdate []*txn.Txn               // owned by Run; latest enqueued-but-unapplied update per item
+	feedExec      []float64                // owned by Run; update execution time per item (for refreshes), 0 without a feed
 	stages        map[*txn.Txn]*stageState // owned by Run; per-query latency attribution, nil when tracing is off
 	nextID        int64                    // owned by Run
 
@@ -238,8 +238,8 @@ func New(cfg Config, policy Policy) (*Engine, error) {
 		acct:          usm.NewClassAccountant(cfg.Weights, cfg.Workload.Preferences),
 		policy:        policy,
 		rng:           stats.NewRNG(cfg.Seed),
-		pendingUpdate: make(map[int]*txn.Txn),
-		feedExec:      make(map[int]float64),
+		pendingUpdate: make([]*txn.Txn, cfg.Workload.NumItems),
+		feedExec:      make([]float64, cfg.Workload.NumItems),
 	}
 	e.runEvent = e.sim.NewEvent(func() { e.complete(e.running) })
 	e.itemIDs = make([]int, cfg.Workload.NumItems)
@@ -335,8 +335,8 @@ func (e *Engine) PendingUpdateFor(item int) *txn.Txn { return e.pendingUpdate[it
 // FeedExec returns the update execution time of item's feed; ok is false
 // when the item has no update feed.
 func (e *Engine) FeedExec(item int) (float64, bool) {
-	v, ok := e.feedExec[item]
-	return v, ok
+	v := e.feedExec[item]
+	return v, v > 0 // Workload.Validate requires a feed's Exec > 0
 }
 
 // EnqueueRefresh creates and enqueues an on-demand update transaction for
@@ -535,7 +535,6 @@ func (e *Engine) updateArrival(f *feed) {
 		e.store.DropUpdate(spec.Item)
 		e.updatesSuperseded++
 		e.updatesDropped++
-		delete(e.pendingUpdate, spec.Item)
 	}
 	u := e.newUpdate(now, spec.Item, exec, now+gap)
 	e.pendingUpdate[spec.Item] = u
@@ -731,7 +730,7 @@ func (e *Engine) completeUpdate(u *txn.Txn) {
 	e.store.ApplyUpdate(item, e.sim.Now(), e.sim.Now())
 	e.updatesApplied++
 	if e.pendingUpdate[item] == u {
-		delete(e.pendingUpdate, item)
+		e.pendingUpdate[item] = nil
 	}
 	e.policy.OnUpdateApplied(u)
 	res := e.locks.ReleaseAll(u)
