@@ -239,10 +239,13 @@ func (m *Manager) releaseInternal(t *txn.Txn, res *Result) {
 	}
 }
 
+// removeWaiter drops t from e's wait list. slices.Delete zeroes the slot
+// it vacates, so a departed waiter is not kept reachable from the list's
+// storage.
 func (m *Manager) removeWaiter(e *entry, t *txn.Txn) {
 	for i, w := range e.waiters {
 		if w.t == t {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
+			e.waiters = slices.Delete(e.waiters, i, i+1)
 			return
 		}
 	}
@@ -258,7 +261,7 @@ func (m *Manager) promote(item int, res *Result) {
 		if len(m.conflicts(e, w.t, w.mode)) > 0 {
 			return
 		}
-		e.waiters = e.waiters[1:]
+		e.waiters = slices.Delete(e.waiters, 0, 1)
 		delete(m.waiting, w.t)
 		m.grant(w.t, item, w.mode)
 		if m.acquireRemaining(w.t, res) {
