@@ -80,8 +80,9 @@ scenarios:
 
 # Fuzz smoke: each target briefly, catching regressions in the HTTP
 # input contract, the wire codec's agreement with net/url and
-# encoding/json, the shard router's partition/merge laws and the event
-# kernel's schedule order without an open-ended fuzzing session.
+# encoding/json, the shard router's partition/merge laws, the event
+# kernel's schedule order and the lock table's agreement with its
+# reference model without an open-ended fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/server/
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeWire -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -fuzz=FuzzSchedule -fuzztime=$(FUZZTIME) ./internal/eventsim/
+	$(GO) test -fuzz=FuzzLockTable -fuzztime=$(FUZZTIME) ./internal/lockmgr/
 
 # Observability smoke: boot unitd on an ephemeral local port, then lint
 # the /metrics exposition (cmd/obslint retries the fetch while the server
