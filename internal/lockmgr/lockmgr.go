@@ -12,6 +12,7 @@
 package lockmgr
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -37,8 +38,6 @@ func (m Mode) String() string {
 	return "X"
 }
 
-func compatible(a, b Mode) bool { return a == Shared && b == Shared }
-
 // modeFor returns the lock mode a transaction class uses.
 func modeFor(t *txn.Txn) Mode {
 	if t.Class == txn.ClassUpdate {
@@ -47,14 +46,17 @@ func modeFor(t *txn.Txn) Mode {
 	return Shared
 }
 
-type waiter struct {
-	t    *txn.Txn
-	mode Mode
+// conflict reports whether holder h's lock stands in the way of t's
+// request: only two shared locks are compatible.
+func conflict(t, h *txn.Txn) bool {
+	return h != t && (modeFor(t) == Exclusive || modeFor(h) == Exclusive)
 }
 
+// entry is one item's slot in the lock table. A transaction's class fixes
+// its mode, so neither list records one.
 type entry struct {
-	holders map[*txn.Txn]Mode
-	waiters []waiter // kept in priority order
+	holders []*txn.Txn
+	waiters []*txn.Txn // kept in priority order
 }
 
 // Result reports the side effects of a lock operation: transactions the
@@ -69,10 +71,11 @@ type Result struct {
 
 // Manager is the lock table. It is not safe for concurrent use.
 type Manager struct {
-	entries map[int]*entry
+	entries []entry            // indexed by item, grown on first touch
 	held    map[*txn.Txn][]int // items each transaction holds, in grant order
 	waiting map[*txn.Txn]int   // item each blocked transaction waits on
 	spare   [][]int            // emptied held lists, reused by the next holders
+	stack   []*txn.Txn         // conflict lists in use, innermost on top (see conflicts)
 
 	aborts int // cumulative HP aborts, for reporting
 }
@@ -80,7 +83,6 @@ type Manager struct {
 // New creates an empty lock manager.
 func New() *Manager {
 	return &Manager{
-		entries: make(map[int]*entry),
 		held:    make(map[*txn.Txn][]int),
 		waiting: make(map[*txn.Txn]int),
 	}
@@ -123,48 +125,69 @@ func (m *Manager) AcquireAll(t *txn.Txn) Result {
 // acquireRemaining continues t's growing phase; returns true when the full
 // lock set is held.
 func (m *Manager) acquireRemaining(t *txn.Txn, res *Result) bool {
-	mode := modeFor(t)
 	for _, item := range t.Items {
 		if m.Holds(t, item) {
 			continue
 		}
-		e := m.entry(item)
-		victims := m.conflicts(e, t, mode)
-		if len(victims) == 0 {
-			m.grant(t, item, mode)
-			continue
-		}
-		if higherThanAll(t, victims) {
+		base := len(m.stack)
+		victims := m.conflicts(item, t)
+		switch {
+		case len(victims) == 0:
+			m.grant(t, item)
+		case higherThanAll(t, victims):
 			// Grant before releasing the victims: their release promotes
 			// waiters, and the promotion must see t as a holder so nothing
 			// incompatible slips into the slot t just claimed.
-			m.grant(t, item, mode)
+			m.grant(t, item)
 			for _, v := range victims {
 				m.abortInternal(v, res)
 			}
-			continue
+			m.pop(base)
+		default:
+			m.pop(base)
+			m.addWaiter(m.entry(item), t)
+			m.waiting[t] = item
+			return false
 		}
-		m.addWaiter(e, t, mode)
-		m.waiting[t] = item
-		return false
 	}
 	return true
 }
 
-// conflicts returns the holders of item whose mode is incompatible with the
-// requested one.
-func (m *Manager) conflicts(e *entry, t *txn.Txn, mode Mode) []*txn.Txn {
-	var out []*txn.Txn
-	for h, hm := range e.holders {
-		if h == t {
-			continue
-		}
-		if !compatible(mode, hm) {
-			out = append(out, h)
+// conflicts pushes the holders of item that conflict with t onto the
+// manager's stack and returns them, sorted by ID; the caller pops them
+// when it is done. Aborting the victims can promote waiters whose growing
+// phases call conflicts in turn, so each call takes its own stretch of
+// the stack rather than one reused list, and a list stays intact however
+// deep those calls nest.
+func (m *Manager) conflicts(item int, t *txn.Txn) []*txn.Txn {
+	base := len(m.stack)
+	for _, h := range m.entry(item).holders {
+		if conflict(t, h) {
+			m.stack = append(m.stack, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := m.stack[base:]
+	if len(out) > 1 {
+		slices.SortFunc(out, func(a, b *txn.Txn) int { return cmp.Compare(a.ID, b.ID) })
+	}
 	return out
+}
+
+// pop drops the conflict lists above base, zeroing them so the stack
+// keeps no finished transaction reachable.
+func (m *Manager) pop(base int) {
+	clear(m.stack[base:])
+	m.stack = m.stack[:base]
+}
+
+// hasConflict reports whether some holder of e conflicts with t.
+func hasConflict(e *entry, t *txn.Txn) bool {
+	for _, h := range e.holders {
+		if conflict(t, h) {
+			return true
+		}
+	}
+	return false
 }
 
 func higherThanAll(t *txn.Txn, holders []*txn.Txn) bool {
@@ -176,10 +199,10 @@ func higherThanAll(t *txn.Txn, holders []*txn.Txn) bool {
 	return true
 }
 
-// grant records t as a holder of item. The held list needs no mode: a
-// transaction's class fixes it (queries S, updates X).
-func (m *Manager) grant(t *txn.Txn, item int, mode Mode) {
-	m.entry(item).holders[t] = mode
+// grant records t as a holder of item.
+func (m *Manager) grant(t *txn.Txn, item int) {
+	e := m.entry(item)
+	e.holders = append(e.holders, t)
 	items := m.held[t]
 	if items == nil && len(m.spare) > 0 {
 		items = m.spare[len(m.spare)-1]
@@ -188,14 +211,11 @@ func (m *Manager) grant(t *txn.Txn, item int, mode Mode) {
 	m.held[t] = append(items, item)
 }
 
-func (m *Manager) addWaiter(e *entry, t *txn.Txn, mode Mode) {
-	w := waiter{t: t, mode: mode}
+func (m *Manager) addWaiter(e *entry, t *txn.Txn) {
 	pos := sort.Search(len(e.waiters), func(i int) bool {
-		return t.HigherPriority(e.waiters[i].t)
+		return t.HigherPriority(e.waiters[i])
 	})
-	e.waiters = append(e.waiters, waiter{})
-	copy(e.waiters[pos+1:], e.waiters[pos:])
-	e.waiters[pos] = w
+	e.waiters = slices.Insert(e.waiters, pos, t)
 }
 
 // abortInternal force-releases everything v holds or waits for, counts the
@@ -221,13 +241,15 @@ func (m *Manager) ReleaseAll(t *txn.Txn) Result {
 func (m *Manager) releaseInternal(t *txn.Txn, res *Result) {
 	if item, ok := m.waiting[t]; ok {
 		delete(m.waiting, t)
-		m.removeWaiter(m.entry(item), t)
+		e := m.entry(item)
+		e.waiters = deleteTxn(e.waiters, t)
 	}
 	items := m.held[t]
 	delete(m.held, t)
-	sort.Ints(items)
+	slices.Sort(items)
 	for _, item := range items {
-		delete(m.entry(item).holders, t)
+		e := m.entry(item)
+		e.holders = deleteTxn(e.holders, t)
 	}
 	for _, item := range items {
 		m.promote(item, res)
@@ -239,94 +261,90 @@ func (m *Manager) releaseInternal(t *txn.Txn, res *Result) {
 	}
 }
 
-// removeWaiter drops t from e's wait list. slices.Delete zeroes the slot
-// it vacates, so a departed waiter is not kept reachable from the list's
-// storage.
-func (m *Manager) removeWaiter(e *entry, t *txn.Txn) {
-	for i, w := range e.waiters {
-		if w.t == t {
-			e.waiters = slices.Delete(e.waiters, i, i+1)
-			return
-		}
+// deleteTxn removes t from list, keeping the order. slices.Delete zeroes
+// the slot it vacates, so the list's storage keeps no departed
+// transaction reachable.
+func deleteTxn(list []*txn.Txn, t *txn.Txn) []*txn.Txn {
+	if i := slices.Index(list, t); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
+	return list
 }
 
 // promote grants the item's waiters, in priority order, while their modes
 // stay compatible with the current holders. A waiter whose lock is granted
 // resumes its growing phase; if that completes, it is reported unblocked.
+// The entry is re-read every round, because that growing phase may touch
+// a new item and grow the table, which moves the entries.
 func (m *Manager) promote(item int, res *Result) {
-	e := m.entry(item)
-	for len(e.waiters) > 0 {
+	for e := m.entry(item); len(e.waiters) > 0; e = m.entry(item) {
 		w := e.waiters[0]
-		if len(m.conflicts(e, w.t, w.mode)) > 0 {
+		if hasConflict(e, w) {
 			return
 		}
 		e.waiters = slices.Delete(e.waiters, 0, 1)
-		delete(m.waiting, w.t)
-		m.grant(w.t, item, w.mode)
-		if m.acquireRemaining(w.t, res) {
-			res.Unblocked = append(res.Unblocked, w.t)
+		delete(m.waiting, w)
+		m.grant(w, item)
+		if m.acquireRemaining(w, res) {
+			res.Unblocked = append(res.Unblocked, w)
 		}
 	}
 }
 
+// entry returns item's slot, growing the table on first touch. Growth
+// moves the entries, so the pointer is good only until the next call.
 func (m *Manager) entry(item int) *entry {
-	e := m.entries[item]
-	if e == nil {
-		e = &entry{holders: make(map[*txn.Txn]Mode)}
-		m.entries[item] = e
+	if item >= len(m.entries) {
+		m.entries = append(m.entries, make([]entry, item+1-len(m.entries))...)
 	}
-	return e
+	return &m.entries[item]
 }
 
 // HolderCount returns how many transactions hold a lock on item (testing
 // and introspection).
 func (m *Manager) HolderCount(item int) int {
-	e := m.entries[item]
-	if e == nil {
+	if item < 0 || item >= len(m.entries) {
 		return 0
 	}
-	return len(e.holders)
+	return len(m.entries[item].holders)
 }
 
 // WaiterCount returns how many transactions wait on item.
 func (m *Manager) WaiterCount(item int) int {
-	e := m.entries[item]
-	if e == nil {
+	if item < 0 || item >= len(m.entries) {
 		return 0
 	}
-	return len(e.waiters)
+	return len(m.entries[item].waiters)
 }
 
 // CheckInvariants panics if the lock table is inconsistent: more than one
 // exclusive holder, shared/exclusive mixes, a waiter that is compatible
-// with all holders (missed promotion), or a transaction's held list that
-// disagrees with the per-item holders (an item listed twice, listed but
-// not held, or held but not listed). Used by tests and debug builds.
+// with all holders (missed promotion) or not registered as waiting there,
+// or a transaction's held list that disagrees with the per-item holders
+// (an item listed or held twice, listed but not held, or held but not
+// listed). Used by tests and debug builds.
 func (m *Manager) CheckInvariants() {
 	for t, items := range m.held {
 		for i, item := range items {
 			if slices.Contains(items[:i], item) {
 				panic(fmt.Sprintf("lockmgr: %v lists item %d twice", t, item))
 			}
-			e := m.entries[item]
-			if e == nil {
-				panic(fmt.Sprintf("lockmgr: %v lists item %d it does not hold", t, item))
-			}
-			if mode, ok := e.holders[t]; !ok || mode != modeFor(t) {
+			if item >= len(m.entries) || !slices.Contains(m.entries[item].holders, t) {
 				panic(fmt.Sprintf("lockmgr: %v lists item %d it does not hold", t, item))
 			}
 		}
 	}
-	for item, e := range m.entries {
-		for h := range e.holders {
+	for item := range m.entries {
+		e := &m.entries[item]
+		excl := 0
+		for i, h := range e.holders {
+			if slices.Contains(e.holders[:i], h) {
+				panic(fmt.Sprintf("lockmgr: %v holds item %d twice", h, item))
+			}
 			if !slices.Contains(m.held[h], item) {
 				panic(fmt.Sprintf("lockmgr: %v holds item %d but does not list it", h, item))
 			}
-		}
-		excl := 0
-		for _, mode := range e.holders {
-			if mode == Exclusive {
+			if modeFor(h) == Exclusive {
 				excl++
 			}
 		}
@@ -336,11 +354,13 @@ func (m *Manager) CheckInvariants() {
 		if excl == 1 && len(e.holders) > 1 {
 			panic(fmt.Sprintf("lockmgr: exclusive+shared mix on item %d", item))
 		}
-		if len(e.waiters) > 0 {
-			w := e.waiters[0]
-			if len(m.conflicts(e, w.t, w.mode)) == 0 {
-				panic(fmt.Sprintf("lockmgr: missed promotion on item %d", item))
+		for _, w := range e.waiters {
+			if at, ok := m.waiting[w]; !ok || at != item {
+				panic(fmt.Sprintf("lockmgr: %v waits on item %d unregistered", w, item))
 			}
+		}
+		if len(e.waiters) > 0 && !hasConflict(e, e.waiters[0]) {
+			panic(fmt.Sprintf("lockmgr: missed promotion on item %d", item))
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestDrainedWaitListHoldsNoStalePointers(t *testing.T) {
 		}
 	}
 	capacity := cap(m.entries[9].waiters)
-	m.ReleaseAll(m.entries[9].waiters[1].t) // withdraw the middle waiter
+	m.ReleaseAll(m.entries[9].waiters[1]) // withdraw the middle waiter
 	if r := m.ReleaseAll(holder); len(r.Unblocked) != 2 {
 		t.Fatalf("unblocked = %v, want the two remaining waiters", r.Unblocked)
 	}
@@ -30,8 +30,8 @@ func TestDrainedWaitListHoldsNoStalePointers(t *testing.T) {
 		t.Fatalf("wait list capacity %d, want its original %d", cap(w), capacity)
 	}
 	for i, slot := range w[:cap(w)] {
-		if slot.t != nil {
-			t.Fatalf("vacated slot %d still holds %v", i, slot.t)
+		if slot != nil {
+			t.Fatalf("vacated slot %d still holds %v", i, slot)
 		}
 	}
 	m.CheckInvariants()
