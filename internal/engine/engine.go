@@ -547,27 +547,18 @@ func (e *Engine) updateArrival(f *feed) {
 // dispatch advances the CPU: it preempts when something outranks the
 // running transaction and starts the highest-priority runnable one,
 // resolving locks on the way. Queries postponed by the policy are parked
-// for this pass so prerequisite updates can overtake them.
+// for this pass so prerequisite updates can overtake them, and requeued
+// once it ends.
 func (e *Engine) dispatch() {
 	var postponed []*txn.Txn
-	defer func() {
-		for _, q := range postponed {
-			// While parked here the query can re-enter the queue through an
-			// HP-abort restart, or be finalized by its deadline — only put
-			// back what is still pending and outside the queue.
-			if q.Outcome == txn.OutcomePending && !e.ready.Contains(q) && q != e.running {
-				e.ready.Push(q)
-			}
-		}
-	}()
 	for {
 		next := e.ready.Peek()
 		if next == nil {
-			return
+			break
 		}
 		if e.running != nil {
 			if !next.HigherPriority(e.running) {
-				return
+				break
 			}
 			e.preempt()
 		}
@@ -586,6 +577,14 @@ func (e *Engine) dispatch() {
 			e.stageTransition(t, stBlocked)
 		}
 		// Not granted: t is parked as a lock waiter; pick the next one.
+	}
+	for _, q := range postponed {
+		// While parked here the query can re-enter the queue through an
+		// HP-abort restart, or be finalized by its deadline — only put
+		// back what is still pending and outside the queue.
+		if q.Outcome == txn.OutcomePending && !e.ready.Contains(q) && q != e.running {
+			e.ready.Push(q)
+		}
 	}
 }
 
