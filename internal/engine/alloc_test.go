@@ -11,18 +11,26 @@ import (
 
 // maxAllocsPerEvent bounds a UNIT run's heap objects per simulated
 // event. The engine's recurring events (arrivals, feeds, completions,
-// deadlines, control ticks) are recycled, so what is left is per-query
-// and per-update state; a closure creeping back into a recurring event
-// adds about one object per event and fails here.
-const maxAllocsPerEvent = 0.4
+// deadlines, control ticks) are recycled and its transactions come from
+// blocks, so what is left is mostly the policy's own state; a closure
+// creeping back into a recurring event adds about one object per event,
+// and a transaction allocated on its own about a third of one, and
+// either fails here.
+const maxAllocsPerEvent = 0.1
 
-// TestUNITRunAllocsPerEvent is the allocation guard. The race detector
-// allocates on its own, hence the build tag.
-func TestUNITRunAllocsPerEvent(t *testing.T) {
+// maxPolicyAllocsPerEvent is the looser per-policy bound: the baselines
+// have no control loop, so they fire well under half of UNIT's events on
+// the same trace and the fixed per-run setup weighs more per event.
+const maxPolicyAllocsPerEvent = 0.2
+
+// allocsPerEvent runs policy over the bench trace once and returns the
+// heap objects it allocated per simulated event.
+func allocsPerEvent(t *testing.T, policy string) float64 {
+	t.Helper()
 	w := benchTrace(t)
 	var events int64
 	allocs := testing.AllocsPerRun(1, func() {
-		e, err := engine.New(engine.NewConfig(w, usm.Weights{}, 7), benchPolicy(t, "UNIT"))
+		e, err := engine.New(engine.NewConfig(w, usm.Weights{}, 7), benchPolicy(t, policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,8 +41,27 @@ func TestUNITRunAllocsPerEvent(t *testing.T) {
 		events = r.Events
 	})
 	perEvent := allocs / float64(events)
-	t.Logf("%.0f allocations over %d events: %.3f per event", allocs, events, perEvent)
-	if perEvent >= maxAllocsPerEvent {
-		t.Fatalf("%.3f allocations per simulated event, want < %v", perEvent, maxAllocsPerEvent)
+	t.Logf("%s: %.0f allocations over %d events: %.3f per event", policy, allocs, events, perEvent)
+	return perEvent
+}
+
+// TestUNITRunAllocsPerEvent is the allocation guard. The race detector
+// allocates on its own, hence the build tag.
+func TestUNITRunAllocsPerEvent(t *testing.T) {
+	if got := allocsPerEvent(t, "UNIT"); got >= maxAllocsPerEvent {
+		t.Fatalf("%.3f allocations per simulated event, want < %v", got, maxAllocsPerEvent)
+	}
+}
+
+// TestRunAllocsPerEventByPolicy extends the guard to every policy, so a
+// per-transaction allocation in a path only a baseline takes (ODU's
+// refreshes, QMF's rejections, IMU's update stream) shows too.
+func TestRunAllocsPerEventByPolicy(t *testing.T) {
+	for _, policy := range []string{"IMU", "ODU", "QMF", "UNIT"} {
+		t.Run(policy, func(t *testing.T) {
+			if got := allocsPerEvent(t, policy); got >= maxPolicyAllocsPerEvent {
+				t.Fatalf("%.3f allocations per simulated event, want < %v", got, maxPolicyAllocsPerEvent)
+			}
+		})
 	}
 }
