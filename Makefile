@@ -119,14 +119,19 @@ bench-e2e-smoke:
 	bash bench/run.sh -smoke && (cd bench && $(GO) vet ./... && $(GO) test ./...)
 
 # CPU and allocation profiles of the UNIT engine run
-# (BenchmarkEngineRun/UNIT) in profiles/ (the CI artifact). -o keeps
-# the test binary, which pprof needs for symbols, in profiles/ too
-# rather than in the tree. Read them with
-# `go tool pprof -top profiles/engine.test profiles/cpu.pprof`.
+# (BenchmarkEngineRun/UNIT: profiles/cpu.pprof, profiles/mem.pprof) and
+# of the QMF one (profiles/cpu-qmf.pprof, profiles/mem-qmf.pprof), whose
+# cells take most of sim-fig4's grid time, in profiles/ (the CI
+# artifact). -o keeps the test binary, which pprof needs for symbols, in
+# profiles/ too rather than in the tree. Read them with
+# `go tool pprof -top profiles/engine.test profiles/cpu.pprof`; add
+# -sample_index=alloc_objects for the heap objects bench/ counts.
 profile-sim:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^UNIT$$' -benchtime 3s \
 	  -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -o profiles/engine.test ./internal/engine/
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineRun$$/^QMF$$' -benchtime 3s \
+	  -cpuprofile profiles/cpu-qmf.pprof -memprofile profiles/mem-qmf.pprof -o profiles/engine.test ./internal/engine/
 
 # CPU and allocation profiles of the live HTTP path (BenchmarkHTTPMix:
 # loopback, one keep-alive connection, zero-work queries with every

@@ -12,10 +12,11 @@ import (
 // maxAllocsPerEvent bounds a UNIT run's heap objects per simulated
 // event. The engine's recurring events (arrivals, feeds, completions,
 // deadlines, control ticks) are recycled and its transactions come from
-// blocks, so what is left is mostly the policy's own state; a closure
+// blocks, so what is left is per-run setup (feeds and their events), the
+// lock table's held lists and the controller's decision log. A closure
 // creeping back into a recurring event adds about one object per event,
-// and a transaction allocated on its own about a third of one, and
-// either fails here.
+// and a transaction allocated on its own about a fifth of one; either
+// fails here.
 const maxAllocsPerEvent = 0.1
 
 // maxPolicyAllocsPerEvent is the looser per-policy bound: the baselines
