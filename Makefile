@@ -28,20 +28,17 @@ race:
 vet:
 	$(GO) vet ./...
 
-# unitlint enforces the determinism/concurrency invariants with nine
-# analyzers — detclock, seededrand, usmrange, the flow-sensitive
-# locksafe, guardedflow, outcomeonce, and the interprocedural deadlock,
-# owned, maporder (over a devirtualized call graph); see
-# cmd/unitlint -help.
+# unitlint enforces the determinism/concurrency invariants with six
+# analyzers — detclock, seededrand, usmrange and the flow-sensitive
+# locksafe, guardedflow, outcomeonce; see cmd/unitlint -help.
 # Findings stream to lint.json (the CI artifact) with a per-analyzer
 # timings trailer; anything not in lint.baseline — or recorded there
 # but stale, under -strict-baseline — fails the run.
 unitlint:
 	$(GO) run ./cmd/unitlint -json -timings -strict-baseline ./... > lint.json; code=$$?; cat lint.json; exit $$code
 
-# Dogfood: the analyzers' own CFG/dataflow/callgraph code holds locks
-# and ranges maps too. Same gates, scoped to internal/lint and the
-# command.
+# Dogfood: the analyzers' own CFG/dataflow code holds locks and ranges
+# maps too. Same gates, scoped to internal/lint and the command.
 unitlint-self:
 	$(GO) run ./cmd/unitlint -strict-baseline ./internal/lint/... ./cmd/unitlint
 

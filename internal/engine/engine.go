@@ -151,13 +151,13 @@ func NewConfig(w *workload.Workload, weights usm.Weights, seed uint64) Config {
 // Concurrency: an Engine is single-goroutine by design — every field is
 // owned by the event loop inside Run, so there is deliberately no mutex
 // and no "guarded by" annotations here (locksafe and guardedflow have
-// nothing to check; determinism_test pins the absence of shared-state
-// races by replaying runs bit-for-bit). The mutable loop state carries
-// "owned by Run" annotations instead, which the unitlint owned analyzer
-// enforces interprocedurally: none of these fields may be touched from
-// a spawned goroutine or an HTTP handler. The live counterpart with
-// real goroutines is internal/server, where the same lifecycle runs
-// under Server.mu.
+// nothing to check). None of the fields may be touched from a spawned
+// goroutine or an HTTP handler; the engine tests under
+// `go test -race ./internal/engine` (TestDeterminism and
+// TestHPAbortAndRestart among them) report a DATA RACE if one is, and
+// determinism_test pins the absence of shared-state effects by
+// replaying runs bit-for-bit. The live counterpart with real goroutines
+// is internal/server, where the same lifecycle runs under Server.mu.
 type Engine struct {
 	cfg    Config
 	sim    *eventsim.Sim
@@ -166,25 +166,25 @@ type Engine struct {
 	ready  *readyq.Queue
 	acct   *usm.ClassAccountant
 	policy Policy
-	rng    *stats.RNG // owned by Run
+	rng    *stats.RNG
 
 	// Each recurring event source owns one Event, re-armed where a fresh
 	// At would run, so the schedule order is unchanged and the steady
 	// state allocates no event or closure.
-	running   *txn.Txn        // owned by Run
+	running   *txn.Txn
 	runEvent  *eventsim.Event // owned by Run; the running transaction's completion
-	runStart  float64         // owned by Run
+	runStart  float64
 	tick      *eventsim.Event // owned by Run; the control tick, re-armed every period
 	arrival   *eventsim.Event // owned by Run; the query arrival stream
 	nextQuery int             // owned by Run; index of the query the arrival event presents next
 	// freeTimers pools deadline timers; an armed one hangs on its
 	// query's Owner until the query resolves or is abandoned.
-	freeTimers []*deadlineTimer // owned by Run
-	timers     int              // owned by Run; deadline timers allocated
+	freeTimers []*deadlineTimer
+	timers     int // owned by Run; deadline timers allocated
 	// txns is the unused tail of the current transaction block. Blocks
 	// are never recycled, so every *txn.Txn of a run is distinct and
 	// outcome hooks, the trace and stages may key by pointer.
-	txns []txn.Txn // owned by Run
+	txns []txn.Txn
 	// itemIDs[i] == i. An update's Items is the capacity-capped window
 	// itemIDs[i:i+1:i+1], so no update allocates its one-item set.
 	itemIDs []int
@@ -192,17 +192,17 @@ type Engine struct {
 	pendingUpdate []*txn.Txn               // owned by Run; latest enqueued-but-unapplied update per item
 	feedExec      []float64                // owned by Run; update execution time per item (for refreshes), 0 without a feed
 	stages        map[*txn.Txn]*stageState // owned by Run; per-query latency attribution, nil when tracing is off
-	nextID        int64                    // owned by Run
+	nextID        int64
 
-	busyQuery  float64 // owned by Run
-	busyUpdate float64 // owned by Run
+	busyQuery  float64
+	busyUpdate float64
 
-	preemptions       int // owned by Run
-	restarts          int // owned by Run
-	updatesApplied    int // owned by Run
-	updatesDropped    int // owned by Run
-	updatesSuperseded int // owned by Run
-	refreshesIssued   int // owned by Run
+	preemptions       int
+	restarts          int
+	updatesApplied    int
+	updatesDropped    int
+	updatesSuperseded int
+	refreshesIssued   int
 	updatesLost       int // owned by Run; feed deliveries blocked by a disturbance
 	queriesStalled    int // owned by Run; query arrivals delayed by a disturbance
 	queriesAbandoned  int // owned by Run; admitted queries whose client disconnected mid-flight
@@ -211,11 +211,11 @@ type Engine struct {
 	// type-asserted once in New (nil when absent or unimplemented).
 	qd QueryDisturbance
 
-	freshSum   float64 // owned by Run
-	latencySum float64 // owned by Run
-	committed  int     // owned by Run
+	freshSum   float64
+	latencySum float64
+	committed  int
 
-	finished bool // owned by Run
+	finished bool
 }
 
 // New builds an engine for one run. It validates the workload and weights.

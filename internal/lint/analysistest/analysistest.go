@@ -12,10 +12,9 @@
 // The backquoted (or double-quoted) text is a regular expression that must
 // match the message of a diagnostic reported on that line. A pattern may
 // carry a multiplicity prefix asserting an exact count of matching
-// diagnostics at that line — devirtualized calls often report once per
-// implementing type:
+// diagnostics at that line:
 //
-//	p.Score(x) // want 2:`acquires`
+//	s.mu.Lock() // want 2:`mu`
 //
 // Lines without a want comment must produce no diagnostics, so every
 // fixture doubles as its own negative test; clean files pin the

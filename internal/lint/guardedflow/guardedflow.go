@@ -37,7 +37,6 @@ import (
 	"strings"
 
 	"unitdb/internal/lint/analysis"
-	"unitdb/internal/lint/callgraph"
 	"unitdb/internal/lint/cfg"
 	"unitdb/internal/lint/dataflow"
 	"unitdb/internal/lint/lockstate"
@@ -111,7 +110,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			recv, typ := callgraph.ReceiverName(fd)
+			recv, typ := receiverName(fd)
 			if recv == "" || recv == "_" || len(g[typ]) == 0 {
 				continue
 			}
@@ -231,6 +230,29 @@ func locksSomewhere(body *ast.BlockStmt, key string) bool {
 		return !found
 	})
 	return found
+}
+
+// receiverName returns a method's receiver identifier ("" when unnamed)
+// and its named type, type parameters dropped ("" when not a named type).
+func receiverName(fd *ast.FuncDecl) (recv, typ string) {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return "", ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if idx, ok := t.(*ast.IndexExpr); ok {
+		t = idx.X
+	}
+	id, ok := t.(*ast.Ident)
+	if !ok {
+		return "", ""
+	}
+	if len(fd.Recv.List[0].Names) == 1 {
+		return fd.Recv.List[0].Names[0].Name, id.Name
+	}
+	return "", id.Name
 }
 
 func report(pass *analysis.Pass, pos token.Pos, recv, field, mutex, typ, method string) {

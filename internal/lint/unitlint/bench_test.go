@@ -11,11 +11,8 @@ import (
 // two busiest runtime packages (internal/engine and internal/server),
 // loaded once outside the timed region. No gate reads it: CI shows the
 // suite's per-analyzer wall time in its job summary (-timings), and this
-// benchmark profiles the analyzer whose time grew — e.g. after a
-// devirtualization change that explodes the call graph.
-// Interprocedural analyzers share the per-package summary cache exactly
-// as they do in a real run, so the first iteration pays the build and
-// the amortized cost is what CI experiences.
+// benchmark profiles the analyzer whose time grew — e.g. after a CFG
+// or dataflow change that slows the flow-sensitive fixpoints.
 func BenchmarkUnitlintAnalyzers(b *testing.B) {
 	pkgs, err := loader.Load("../../..", []string{"./internal/engine", "./internal/server"})
 	if err != nil {

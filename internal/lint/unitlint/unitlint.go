@@ -1,4 +1,4 @@
-// Package unitlint is the multichecker driving UNIT's nine invariant
+// Package unitlint is the multichecker driving UNIT's six invariant
 // analyzers. Three are syntactic: detclock (no wall clock in the
 // simulator core), seededrand (no global math/rand anywhere), and
 // usmrange (literal freshness and penalty weights stay in the paper's
@@ -7,16 +7,7 @@
 // all paths, no double lock/unlock), guardedflow ('// guarded by mu'
 // field accesses happen where the mutex is provably held), and
 // outcomeonce (every path records exactly one terminal transaction
-// outcome). Three are interprocedural, built on the
-// internal/lint/callgraph + internal/lint/summary layer (whose
-// per-package summaries are computed once and cached, shared by all
-// consumers), with the call graph devirtualized CHA-style — interface
-// calls and stored function values resolve to every package-local
-// candidate: deadlock (no lock-order cycles, no call into a function
-// that re-acquires a held mutex), owned ('// owned by <method>' fields
-// are never touched from spawned goroutines or HTTP handlers), and
-// maporder (map iteration order never escapes into deterministic output
-// unsorted). The driver also audits //unitlint:ignore comments (analyzer
+// outcome). The driver also audits //unitlint:ignore comments (analyzer
 // name "ignore"): scoped, reasoned ignores suppress; malformed ones are
 // findings.
 //
@@ -39,14 +30,11 @@ import (
 	"time"
 
 	"unitdb/internal/lint/analysis"
-	"unitdb/internal/lint/deadlock"
 	"unitdb/internal/lint/detclock"
 	"unitdb/internal/lint/guardedflow"
 	"unitdb/internal/lint/loader"
 	"unitdb/internal/lint/locksafe"
-	"unitdb/internal/lint/maporder"
 	"unitdb/internal/lint/outcomeonce"
-	"unitdb/internal/lint/owned"
 	"unitdb/internal/lint/seededrand"
 	"unitdb/internal/lint/usmrange"
 )
@@ -59,9 +47,6 @@ var Analyzers = []*analysis.Analyzer{
 	locksafe.Analyzer,
 	guardedflow.Analyzer,
 	outcomeonce.Analyzer,
-	deadlock.Analyzer,
-	owned.Analyzer,
-	maporder.Analyzer,
 }
 
 // Select returns the analyzers named in the comma-separated list, or the

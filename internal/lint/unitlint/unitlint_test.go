@@ -47,8 +47,16 @@ func TestRepoIsClean(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	all, err := unitlint.Select("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("Select(\"\") = %d analyzers, err %v; want the full suite of 9", len(all), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, a := range all {
+		names = append(names, a.Name)
+	}
+	want := "detclock seededrand usmrange locksafe guardedflow outcomeonce"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("Select(\"\") = %q; want the full suite in reporting order, %q", got, want)
 	}
 	two, err := unitlint.Select("locksafe, outcomeonce")
 	if err != nil || len(two) != 2 || two[0].Name != "locksafe" || two[1].Name != "outcomeonce" {

@@ -239,10 +239,10 @@ type family struct {
 
 // Registry holds metric families. The mutex only guards registration and
 // snapshotting bookkeeping — never the handles' update paths. No field
-// is goroutine-owned ("owned by" annotations do not apply): handles are
-// shared by design and updated through atomics, and Snapshot sorts its
-// output so map iteration over families never leaks into the exposition
-// order (the maporder analyzer checks exactly that).
+// is goroutine-owned: handles are shared by design and updated through
+// atomics, and Snapshot sorts its output so map iteration over families
+// never leaks into the exposition order (TestSnapshotOrderingIsStable
+// and promtext's TestGoldenExposition check exactly that).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by mu

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -114,17 +115,34 @@ func TestObserveExZeroKeepsPriorExemplar(t *testing.T) {
 	}
 }
 
+// TestSnapshotOrderingIsStable registers families and series in
+// reverse-sorted order, more of each than fit one map group, so map
+// iteration never yields sorted order by chance: Snapshot must sort
+// both levels itself, or this fails on every run.
 func TestSnapshotOrderingIsStable(t *testing.T) {
+	const n = 12
 	r := NewRegistry()
-	r.Counter("unit_b_total", "", Label{Key: "x", Value: "2"})
-	r.Counter("unit_b_total", "", Label{Key: "x", Value: "1"})
-	r.Counter("unit_a_total", "")
-	s := r.Snapshot()
-	if len(s) != 2 || s[0].Name != "unit_a_total" || s[1].Name != "unit_b_total" {
-		t.Fatalf("families out of order: %+v", s)
+	for f := n - 1; f >= 0; f-- {
+		for s := n - 1; s >= 0; s-- {
+			r.Counter(fmt.Sprintf("unit_f%02d_total", f), "", Label{Key: "x", Value: fmt.Sprintf("%02d", s)})
+		}
 	}
-	if s[1].Series[0].Labels[0].Value != "1" || s[1].Series[1].Labels[0].Value != "2" {
-		t.Fatalf("series out of order: %+v", s[1].Series)
+	snap := r.Snapshot()
+	if len(snap) != n {
+		t.Fatalf("%d families, want %d", len(snap), n)
+	}
+	for f, fs := range snap {
+		if want := fmt.Sprintf("unit_f%02d_total", f); fs.Name != want {
+			t.Fatalf("family %d = %s, want %s: families out of order", f, fs.Name, want)
+		}
+		if len(fs.Series) != n {
+			t.Fatalf("%s has %d series, want %d", fs.Name, len(fs.Series), n)
+		}
+		for s, ss := range fs.Series {
+			if want := fmt.Sprintf("%02d", s); ss.Labels[0].Value != want {
+				t.Fatalf("%s series %d has x=%s, want %s: series out of order", fs.Name, s, ss.Labels[0].Value, want)
+			}
+		}
 	}
 }
 

@@ -131,9 +131,9 @@ const (
 // Recorder buffers the last EventCap events and DecisionCap decisions.
 // It is safe for concurrent use; the engine drives it from a single
 // goroutine, the live server from many. Because callers differ in
-// goroutine structure, the rings are guarded by mu rather than carrying
-// "owned by" annotations — ownership here belongs to whoever holds the
-// lock, which the locksafe/guardedflow analyzers verify.
+// goroutine structure, the rings are guarded by mu rather than owned by
+// one goroutine — ownership here belongs to whoever holds the lock,
+// which the locksafe/guardedflow analyzers verify.
 type Recorder struct {
 	mu        sync.Mutex
 	seq       uint64     // guarded by mu; shared by events and decisions

@@ -181,6 +181,34 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatsCallsReturnPromptly: Stats and StatsWindow each take s.mu
+// once and build the snapshot with statsLocked. A call to Stats (or any
+// other s.mu acquirer) while s.mu is held blocks forever on the
+// non-reentrant mutex, so the calls run on a goroutine under a deadline.
+// s is closed only after they return: Close takes s.mu too, so a
+// t.Cleanup(s.Close) would hang the same way.
+func TestStatsCallsReturnPromptly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumItems = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.StatsWindow(time.Minute)
+		s.StatsWindow(0)
+		s.Stats()
+	}()
+	select {
+	case <-done:
+		s.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats/StatsWindow did not return within 5s: a call re-acquires s.mu while holding it (use statsLocked under the lock)")
+	}
+}
+
 // TestStatsWindow: the windowed USM covers recent outcomes, ignores old
 // ones, and bad window values fail with a named-field 400.
 func TestStatsWindow(t *testing.T) {

@@ -231,13 +231,12 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 // before the Server escapes and are immutable or internally synchronized
 // afterwards.
 //
-// Ownership: unlike Engine, no field here carries an "owned by"
-// annotation — every piece of mutable state is deliberately shared
-// between the worker pool, the control loop, and the HTTP handlers, so
-// mutual exclusion (not single-goroutine ownership) is the discipline,
-// and the owned analyzer has nothing to enforce. That split is the
-// point: the simulator proves the algorithms single-threaded, the live
-// server reuses them under one lock.
+// Ownership: unlike Engine, no field here is owned by one goroutine —
+// every piece of mutable state is deliberately shared between the
+// worker pool, the control loop, and the HTTP handlers, so mutual
+// exclusion (not single-goroutine ownership) is the discipline. That
+// split is the point: the simulator proves the algorithms
+// single-threaded, the live server reuses them under one lock.
 type Server struct {
 	cfg   Config    // immutable after New
 	start time.Time // immutable after New
