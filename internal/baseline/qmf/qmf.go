@@ -22,6 +22,7 @@ package qmf
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"unitdb/internal/engine"
@@ -43,8 +44,11 @@ type Config struct {
 	OverloadUtilization float64
 	// Step is the per-decision adjustment of the admit and drop fractions.
 	Step float64
-	// RecomputeEvery throttles the O(n log n) drop-set resort to once per
-	// this many control ticks.
+	// RecomputeEvery is how many control ticks the drop set may go
+	// un-ranked while the drop fraction holds still; a change of the
+	// fraction re-ranks at once. It is part of the model, not a cost knob:
+	// the set follows the items' access-per-update ratios only this often,
+	// so changing it changes which items QMF drops.
 	RecomputeEvery int
 	// Seed drives the probabilistic admission gate.
 	Seed uint64
@@ -270,17 +274,94 @@ func (q *QMF) recomputeDropSet() {
 	if k == 0 {
 		return
 	}
-	// (ratio, item) is a total order, so the k lowest are the same set
-	// whichever sort finds them.
-	slices.SortFunc(items, func(a, b aur) int {
-		if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.item, b.item)
-	})
+	selectLowest(items, k, 2*bits.Len(uint(len(items))))
 	for _, it := range items[:k] {
 		q.dropSet[it.item] = true
 	}
+}
+
+// less is the drop-set ranking: by ratio, ties broken by item. Items are
+// distinct, so it is a total order and the k lowest are one fixed set
+// whichever algorithm finds them.
+func (a aur) less(b aur) bool {
+	if a.ratio != b.ratio {
+		return a.ratio < b.ratio
+	}
+	return a.item < b.item
+}
+
+func compareAUR(a, b aur) int {
+	if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.item, b.item)
+}
+
+// selectLowest reorders xs in place so that xs[k-1] is its k-th lowest
+// element under less, with the lower ones before it in no particular
+// order. It is Hoare's quickselect with a median-of-three pivot (a
+// ninther on long ranges) — no random draw, so QMF's rng stream is not
+// touched — for at most rounds partitions; a range still open after them
+// has defeated the pivots and is sorted instead, which bounds the cost at
+// O(n log n). It requires 1 <= k <= len(xs).
+func selectLowest(xs []aur, k, rounds int) {
+	lo, hi := 0, len(xs)-1
+	for ; lo < hi; rounds-- {
+		if rounds <= 0 {
+			slices.SortFunc(xs[lo:hi+1], compareAUR)
+			return
+		}
+		p := pivot(xs, lo, hi)
+		i, j := lo, hi
+		for i <= j {
+			for xs[i].less(p) {
+				i++
+			}
+			for p.less(xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= p <= xs[i..hi], and anything between is p.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// pivot picks one of xs[lo..hi] by medians of three at fixed positions.
+func pivot(xs []aur, lo, hi int) aur {
+	m := lo + (hi-lo)/2
+	if hi-lo < 64 {
+		return medianOfThree(xs[lo], xs[m], xs[hi])
+	}
+	s := (hi - lo) / 8
+	return medianOfThree(
+		medianOfThree(xs[lo], xs[lo+s], xs[lo+2*s]),
+		medianOfThree(xs[m-s], xs[m], xs[m+s]),
+		medianOfThree(xs[hi-2*s], xs[hi-s], xs[hi]))
+}
+
+func medianOfThree(a, b, c aur) aur {
+	if b.less(a) {
+		a, b = b, a
+	}
+	if c.less(b) {
+		b = c
+		if b.less(a) {
+			b = a
+		}
+	}
+	return b
 }
 
 var _ engine.Policy = (*QMF)(nil)
