@@ -114,6 +114,42 @@ func TestStaleItems(t *testing.T) {
 	}
 }
 
+// TestStaleItemsMatchesScan is the model test of the stale counter: over
+// random ApplyUpdate/DropUpdate sequences on 64 items, StaleItems equals a
+// scan of Drops(i) > 0 after every call.
+func TestStaleItemsMatchesScan(t *testing.T) {
+	const n = 64
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		s := New(n)
+		// Skew the mix per sequence so both the all-fresh and the
+		// all-stale ends of the range are reached.
+		pDrop := rng.Float64()
+		for op := 0; op < 2000; op++ {
+			i := rng.Intn(n)
+			if rng.Float64() < pDrop {
+				s.DropUpdate(i)
+			} else {
+				s.ApplyUpdate(i, rng.Float64(), float64(op))
+			}
+			scan := 0
+			for j := 0; j < n; j++ {
+				if s.Drops(j) > 0 {
+					scan++
+				}
+			}
+			if s.StaleItems() != scan {
+				t.Logf("seed %d op %d: StaleItems = %d, scan = %d", seed, op, s.StaleItems(), scan)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	s := New(2)
 	for _, fn := range []func(){
