@@ -21,7 +21,6 @@
 package qmf
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -290,13 +289,6 @@ func (a aur) less(b aur) bool {
 	return a.item < b.item
 }
 
-func compareAUR(a, b aur) int {
-	if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.item, b.item)
-}
-
 // selectLowest reorders xs in place so that xs[k-1] is its k-th lowest
 // element under less, with the lower ones before it in no particular
 // order. It is Hoare's quickselect with a median-of-three pivot (a
@@ -308,7 +300,15 @@ func selectLowest(xs []aur, k, rounds int) {
 	lo, hi := 0, len(xs)-1
 	for ; lo < hi; rounds-- {
 		if rounds <= 0 {
-			slices.SortFunc(xs[lo:hi+1], compareAUR)
+			slices.SortFunc(xs[lo:hi+1], func(a, b aur) int {
+				switch {
+				case a.less(b):
+					return -1
+				case b.less(a):
+					return 1
+				}
+				return 0
+			})
 			return
 		}
 		p := pivot(xs, lo, hi)

@@ -37,17 +37,19 @@ func checkSelect(t *testing.T, name string, xs []aur, ks ...int) {
 		}
 		return cmp.Compare(a.item, b.item)
 	})
+	all := itemSet(xs)
 	for _, k := range ks {
+		lowest := itemSet(want[:k])
 		for _, rounds := range []int{2 * bits.Len(uint(len(xs))), 0, 1, 2, 3} {
 			got := slices.Clone(xs)
 			selectLowest(got, k, rounds)
-			if !slices.Equal(itemSet(got[:k]), itemSet(want[:k])) {
+			if !slices.Equal(itemSet(got[:k]), lowest) {
 				t.Fatalf("%s: n=%d k=%d rounds=%d: selection marked a different set than the sort", name, len(xs), k, rounds)
 			}
 			if got[k-1] != want[k-1] {
 				t.Fatalf("%s: n=%d k=%d rounds=%d: xs[k-1] = %v, want the k-th lowest %v", name, len(xs), k, rounds, got[k-1], want[k-1])
 			}
-			if !slices.Equal(itemSet(got), itemSet(xs)) {
+			if !slices.Equal(itemSet(got), all) {
 				t.Fatalf("%s: n=%d k=%d rounds=%d: selection is not a permutation of its input", name, len(xs), k, rounds)
 			}
 		}
@@ -61,7 +63,7 @@ func checkSelect(t *testing.T, name string, xs []aur, ks ...int) {
 func TestSelectLowestMatchesSort(t *testing.T) {
 	rng := stats.NewRNG(37)
 	sizes := []int{1, 2, 3, 4, 5, 7, 16, 31, 64, 100, 255, 300}
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		sizes = append(sizes, 1+rng.Intn(300))
 	}
 	for _, n := range sizes {
