@@ -117,10 +117,9 @@ bench-e2e-smoke:
 
 # CPU and allocation profiles of the UNIT engine run
 # (BenchmarkEngineRun/UNIT: profiles/cpu.pprof, profiles/mem.pprof) and
-# of the QMF one (profiles/cpu-qmf.pprof, profiles/mem-qmf.pprof), whose
-# cells take most of sim-fig4's grid time, in profiles/ (the CI
-# artifact). -o keeps the test binary, which pprof needs for symbols, in
-# profiles/ too rather than in the tree. Read them with
+# of the QMF one (profiles/cpu-qmf.pprof, profiles/mem-qmf.pprof), in
+# profiles/ (the CI artifact). -o keeps the test binary, which pprof
+# needs for symbols, in profiles/ too rather than in the tree. Read them with
 # `go tool pprof -top profiles/engine.test profiles/cpu.pprof`; add
 # -sample_index=alloc_objects for the heap objects bench/ counts.
 profile-sim:

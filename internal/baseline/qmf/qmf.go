@@ -43,11 +43,10 @@ type Config struct {
 	OverloadUtilization float64
 	// Step is the per-decision adjustment of the admit and drop fractions.
 	Step float64
-	// RecomputeEvery is how many control ticks the drop set may go
-	// un-ranked while the drop fraction holds still; a change of the
-	// fraction re-ranks at once. It is part of the model, not a cost knob:
-	// the set follows the items' access-per-update ratios only this often,
-	// so changing it changes which items QMF drops.
+	// RecomputeEvery re-ranks the drop set every this many control ticks
+	// while the drop fraction holds still (a change of the fraction
+	// re-ranks at once). It is part of the model, not a cost knob:
+	// changing it changes which items QMF drops.
 	RecomputeEvery int
 	// Seed drives the probabilistic admission gate.
 	Seed uint64
