@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim profile-live golden loc ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim profile-live golden replay-digest loc ci
 
 all: build
 
@@ -145,10 +145,33 @@ profile-live:
 golden:
 	$(GO) test -race -run TestGoldenQuickReplication -v ./internal/experiments/
 
+# Bit-identity digest of the simulator's replay surfaces: unitsim's
+# quick-scale stdout and trace for IMU/ODU/QMF/UNIT x seeds 1, 7 x
+# shards 1, 4 x unif/neg, then every deterministic scenario's report and
+# trace at -shards 1 and 4 (thundering-herd runs a live server on the
+# wall clock, so it has no stable digest). One sha256sum line per
+# output, named relative to REPLAY_DIR: run it in two checkouts and
+# diff the listings to show a change leaves every replay untouched.
+REPLAY_DIR ?= replay
+replay-digest:
+	@mkdir -p $(REPLAY_DIR) && rm -f $(REPLAY_DIR)/sim-* $(REPLAY_DIR)/scenario-*
+	@$(GO) build -o $(REPLAY_DIR)/unitsim ./cmd/unitsim
+	@$(GO) build -o $(REPLAY_DIR)/unitscenario ./cmd/unitscenario
+	@cd $(REPLAY_DIR) && \
+	for p in IMU ODU QMF UNIT; do for s in 1 7; do for n in 1 4; do for d in unif neg; do \
+	  c=sim-$$p-seed$$s-shards$$n-$$d; \
+	  ./unitsim -quick -policy $$p -seed $$s -shards $$n -dist $$d -trace $$c.jsonl > $$c.txt || exit 1; \
+	done; done; done; done; \
+	for n in 1 4; do for sc in $$(./unitscenario list | awk '$$2 == "deterministic" { print $$1 }'); do \
+	  c=scenario-$$sc-shards$$n; \
+	  ./unitscenario run -seed 1 -shards $$n -trace $$c.jsonl $$sc > $$c.json || exit 1; \
+	done; done; \
+	sha256sum sim-* scenario-*
+
 # Size of the root module: non-blank Go lines of tracked files outside
 # bench/ (a module of its own), split into non-test and test.
 loc:
 	@git ls-files -z '*.go' ':!bench' | xargs -0 awk 'NF { if (FILENAME ~ /_test\.go$$/) t++; else n++ } END { printf "non-test %d\ntest %d\ntotal %d\n", n, t, n + t }'
 
 # Everything CI runs, in CI's order (the shard matrix runs inside test).
-ci: build lint test race golden chaos scenarios profile-sim profile-live fuzz obs-smoke bench-e2e-smoke
+ci: build lint test race golden chaos scenarios replay-digest profile-sim profile-live fuzz obs-smoke bench-e2e-smoke

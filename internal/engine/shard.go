@@ -211,7 +211,9 @@ func (o *shardObserver) ControlPeriod() float64 { return o.inner.ControlPeriod()
 // OnControlTick implements Policy.
 func (o *shardObserver) OnControlTick() { o.inner.OnControlTick() }
 
-// ShardedConfig parameterizes one sharded run behind the front door.
+// ShardedConfig parameterizes one run behind the front door. It is the
+// only way a simulator cell runs: at Shards <= 1 the front door is the
+// plain engine, at N > 1 it partitions, fans out and gathers.
 type ShardedConfig struct {
 	// Shards is the shard count; values <= 1 run the plain single engine
 	// (bitwise-identical to a direct New+Run with the same Config).
@@ -232,9 +234,11 @@ type ShardedConfig struct {
 	// called sequentially in shard order). Each shard needs its own
 	// instance: injectors keep tallies.
 	Disturbance func(shard int) Disturbance
-	// Trace, when non-nil, supplies shard's trace recorder; use
-	// trace.Merge afterwards for one deterministic logical stream.
-	Trace func(shard int) *trace.Recorder
+	// Trace, when non-nil, receives the run's trace. One shard records
+	// into it directly; N > 1 shards record into rings of its capacities
+	// that trace.Merge folds into it afterwards, shard-stamped and totally
+	// ordered, so sharded dumps replay byte-identically too.
+	Trace *trace.Recorder
 	// Workers bounds the fan-out concurrency (runner.Options semantics:
 	// 0 means GOMAXPROCS, 1 is the reference sequential path). Results
 	// are identical at any worker count.
@@ -267,7 +271,9 @@ func RunSharded(cfg ShardedConfig) (*Results, error) {
 
 // RunShardedDetail runs the workload across cfg.Shards engine shards and
 // returns the merged results plus the per-shard detail the invariance
-// tests pin.
+// tests pin. One shard is the pre-sharding engine, verbatim: undecorated
+// seeds, the whole workload, the caller's recorder, no observer, no
+// gather and no goroutine. The golden tests pin this bitwise.
 func RunShardedDetail(cfg ShardedConfig) (*ShardRun, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("engine: nil workload")
@@ -275,55 +281,44 @@ func RunShardedDetail(cfg ShardedConfig) (*ShardRun, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("engine: nil policy factory")
 	}
-	if cfg.Shards <= 1 {
-		// The N=1 front door is the pre-sharding engine, verbatim: same
-		// undecorated seeds, same config, no gather layer. The golden
-		// tests pin this bitwise.
-		pol, err := cfg.Policy(0, cfg.PolicySeed)
+	n := max(cfg.Shards, 1)
+	parts, sliceCounts := []*workload.Workload{cfg.Workload}, []int(nil)
+	if n > 1 {
+		parts, sliceCounts = PartitionWorkload(cfg.Workload, n)
+	}
+	engines := make([]*Engine, n)
+	var observers []*shardObserver
+	var rings []*trace.Recorder
+	for i := range n {
+		pol, err := cfg.Policy(i, ShardSeed(cfg.PolicySeed, i, n))
 		if err != nil {
 			return nil, err
 		}
-		ecfg := Config{Workload: cfg.Workload, Weights: cfg.Weights, Seed: cfg.Seed, PhaseUpdates: cfg.PhaseUpdates}
+		ecfg := Config{Workload: parts[i], Weights: cfg.Weights, Seed: ShardSeed(cfg.Seed, i, n), PhaseUpdates: cfg.PhaseUpdates, Trace: cfg.Trace}
 		if cfg.Disturbance != nil {
-			ecfg.Disturbance = cfg.Disturbance(0)
+			ecfg.Disturbance = cfg.Disturbance(i)
 		}
-		if cfg.Trace != nil {
-			ecfg.Trace = cfg.Trace(0)
+		if n > 1 {
+			obs := &shardObserver{inner: pol}
+			observers = append(observers, obs)
+			pol = obs
+			if cfg.Trace != nil {
+				ecfg.Trace = trace.New(cfg.Trace.EventCap(), cfg.Trace.DecisionCap())
+				rings = append(rings, ecfg.Trace)
+			}
 		}
 		e, err := New(ecfg, pol)
 		if err != nil {
 			return nil, err
 		}
-		res, err := e.Run()
+		engines[i] = e
+	}
+	if n == 1 {
+		res, err := engines[0].Run()
 		if err != nil {
 			return nil, err
 		}
 		return &ShardRun{Merged: res, PerShard: []*Results{res}}, nil
-	}
-
-	n := cfg.Shards
-	parts, sliceCounts := PartitionWorkload(cfg.Workload, n)
-	engines := make([]*Engine, n)
-	observers := make([]*shardObserver, n)
-	for i := 0; i < n; i++ {
-		pol, err := cfg.Policy(i, ShardSeed(cfg.PolicySeed, i, n))
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d policy: %w", i, err)
-		}
-		obs := &shardObserver{inner: pol}
-		ecfg := Config{Workload: parts[i], Weights: cfg.Weights, Seed: ShardSeed(cfg.Seed, i, n), PhaseUpdates: cfg.PhaseUpdates}
-		if cfg.Disturbance != nil {
-			ecfg.Disturbance = cfg.Disturbance(i)
-		}
-		if cfg.Trace != nil {
-			ecfg.Trace = cfg.Trace(i)
-		}
-		e, err := New(ecfg, obs)
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		engines[i] = e
-		observers[i] = obs
 	}
 	// Shards are independent simulations over disjoint item sets, so they
 	// fan out across the deterministic pool; results land by shard index
@@ -332,6 +327,9 @@ func RunShardedDetail(cfg ShardedConfig) (*ShardRun, error) {
 		func(_ int, e *Engine) (*Results, error) { return e.Run() })
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Trace != nil {
+		trace.Merge(cfg.Trace, rings...)
 	}
 	byQuery := gatherAnswers(len(cfg.Workload.Queries), observers)
 	merged := mergeShardResults(cfg.Weights, cfg.Workload, perShard, byQuery, sliceCounts)

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
 	"unitdb/internal/core/usm"
+	"unitdb/internal/obs/trace"
 	"unitdb/internal/stats"
 	"unitdb/internal/txn"
 	"unitdb/internal/workload"
@@ -300,14 +302,20 @@ func TestMergeSlices(t *testing.T) {
 }
 
 // TestRunShardedSingleShardPassthrough pins the N=1 regression: the
-// front door at one shard is the plain engine, DeepEqual included.
+// front door at one shard is the plain engine, DeepEqual included, and
+// the caller's recorder passes straight through, so the trace dump is
+// byte-identical to a direct New+Run with the same recorder.
 func TestRunShardedSingleShardPassthrough(t *testing.T) {
 	rng := stats.NewRNG(7)
+	weights := usm.Weights{Cr: 0.25, Cfm: 0.75, Cfs: 0.25}
 	for trial := 0; trial < 10; trial++ {
 		w := randomMultiWorkload(rng.Split())
+		directRec := trace.New(1<<16, 1<<16)
 		direct, err := func() (*Results, error) {
 			p, _ := chaosFactory(0, 99)
-			e, err := New(NewConfig(w, usm.Weights{Cr: 0.25, Cfm: 0.75, Cfs: 0.25}, 13), p)
+			cfg := NewConfig(w, weights, 13)
+			cfg.Trace = directRec
+			e, err := New(cfg, p)
 			if err != nil {
 				return nil, err
 			}
@@ -316,14 +324,16 @@ func TestRunShardedSingleShardPassthrough(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		shardedRec := trace.New(1<<16, 1<<16)
 		sharded, err := RunSharded(ShardedConfig{
 			Shards:       1,
 			Workload:     w,
-			Weights:      usm.Weights{Cr: 0.25, Cfm: 0.75, Cfs: 0.25},
+			Weights:      weights,
 			Seed:         13,
 			PolicySeed:   99,
 			PhaseUpdates: true,
 			Policy:       chaosFactory,
+			Trace:        shardedRec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +341,74 @@ func TestRunShardedSingleShardPassthrough(t *testing.T) {
 		if !reflect.DeepEqual(direct, sharded) {
 			t.Fatalf("trial %d: shards=1 diverged from the plain engine:\n direct  %+v\n sharded %+v", trial, direct, sharded)
 		}
+		if got, want := jsonl(t, shardedRec), jsonl(t, directRec); len(want) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: shards=1 trace (%d bytes) differs from the plain engine's (%d bytes)", trial, len(got), len(want))
+		}
 	}
+}
+
+// TestRunShardedMergesShardTraces pins the N>1 trace path: the front
+// door records each shard into a ring of the caller recorder's
+// capacities and merges them into it, so its dump equals trace.Merge
+// over per-shard rings built by hand from the same partition and seeds.
+// A small capacity makes the rings wrap, pinning that they take the
+// caller's capacities.
+func TestRunShardedMergesShardTraces(t *testing.T) {
+	const shards = 4
+	weights := usm.Weights{Cr: 0.25, Cfm: 0.75, Cfs: 0.25}
+	rng := stats.NewRNG(17)
+	for trial, capacity := range []int{1 << 16, 64} {
+		w := randomMultiWorkload(rng.Split())
+		rec := trace.New(capacity, capacity)
+		run, err := RunShardedDetail(ShardedConfig{
+			Shards:       shards,
+			Workload:     w,
+			Weights:      weights,
+			Seed:         13,
+			PolicySeed:   99,
+			PhaseUpdates: true,
+			Policy:       chaosFactory,
+			Trace:        rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		parts, _ := PartitionWorkload(w, shards)
+		rings := make([]*trace.Recorder, shards)
+		for i := range rings {
+			rings[i] = trace.New(capacity, capacity)
+			p, _ := chaosFactory(i, ShardSeed(99, i, shards))
+			cfg := NewConfig(parts[i], weights, ShardSeed(13, i, shards))
+			cfg.Trace = rings[i]
+			e, err := New(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, run.PerShard[i]) {
+				t.Fatalf("trial %d shard %d: front-door shard diverged from a hand-built engine", trial, i)
+			}
+		}
+		want := trace.New(capacity, capacity)
+		trace.Merge(want, rings...)
+		if got, want := jsonl(t, rec), jsonl(t, want); len(want) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: merged trace (%d bytes) differs from trace.Merge over hand-built rings (%d bytes)", trial, len(got), len(want))
+		}
+	}
+}
+
+// jsonl dumps a recorder's buffered stream.
+func jsonl(t *testing.T, rec *trace.Recorder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestShardAccountingProperties is the cross-shard conservation suite:

@@ -51,12 +51,10 @@ type Config struct {
 	// derived from the stable (suite, cell) name, never from execution
 	// order (see CellSeeds and package runner).
 	Workers int
-	// Shards partitions every cell's run across N engine shards behind
-	// the front-door router (engine.RunSharded). Values <= 1 run the
-	// plain single engine, bitwise-identical to the pre-sharding path;
-	// each shard's seeds derive from the cell seeds by shard index, so
-	// results replay identically at any worker count for a fixed shard
-	// count.
+	// Shards is every cell's shard count in the one runner,
+	// engine.RunSharded; one shard (or <= 1) is the plain engine. Each
+	// shard's seeds derive from the cell seeds by shard index, so results
+	// replay identically at any worker count for a fixed shard count.
 	Shards int
 }
 
@@ -132,32 +130,26 @@ func (c Config) RunCellNamed(suite, cell string, w *workload.Workload, name Poli
 }
 
 func (c Config) runSeeded(w *workload.Workload, name PolicyName, weights usm.Weights, policySeed, engineSeed uint64) (*engine.Results, error) {
-	if c.Shards > 1 {
-		return engine.RunSharded(engine.ShardedConfig{
-			Shards:       c.Shards,
-			Workload:     w,
-			Weights:      weights,
-			Seed:         engineSeed,
-			PolicySeed:   policySeed,
-			PhaseUpdates: true,
-			Policy: func(_ int, seed uint64) (engine.Policy, error) {
-				return NewPolicy(name, weights, seed)
-			},
-			// The sweep already fans cells across the pool; shards within a
-			// cell run sequentially to keep the concurrency bounded by
-			// Workers alone.
-			Workers: 1,
-		})
-	}
-	p, err := NewPolicy(name, weights, policySeed)
-	if err != nil {
-		return nil, err
-	}
-	e, err := engine.New(engine.NewConfig(w, weights, engineSeed), p)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
+	return c.run(w, weights, policySeed, engineSeed, func(_ int, seed uint64) (engine.Policy, error) {
+		return NewPolicy(name, weights, seed)
+	})
+}
+
+// run is the one way a cell runs: engine.RunSharded at c.Shards, with
+// policy building each shard's policy from its derived seed. The sweep
+// already fans cells across the pool, so a cell's shards run
+// sequentially and Workers alone bounds the concurrency.
+func (c Config) run(w *workload.Workload, weights usm.Weights, policySeed, engineSeed uint64, policy func(shard int, seed uint64) (engine.Policy, error)) (*engine.Results, error) {
+	return engine.RunSharded(engine.ShardedConfig{
+		Shards:       c.Shards,
+		Workload:     w,
+		Weights:      weights,
+		Seed:         engineSeed,
+		PolicySeed:   policySeed,
+		PhaseUpdates: true,
+		Policy:       policy,
+		Workers:      1,
+	})
 }
 
 // pool returns the runner options for this config's sweeps.

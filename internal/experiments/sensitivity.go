@@ -41,16 +41,14 @@ func SensitivityCDu(cfg Config, values []float64) ([]SensitivityRow, error) {
 	return runner.Map(cfg.pool(), values, func(_ int, cdu float64) (SensitivityRow, error) {
 		cell := fmt.Sprintf("cdu=%g", cdu)
 		policySeed, engineSeed := cfg.CellSeeds("sens", cell)
-		pcfg := core.DefaultConfig(usm.Weights{})
-		pcfg.Seed = policySeed
-		pcfg.ModulatorOptions = []ufm.Option{
-			ufm.WithConstants(ufm.DefaultCForget, cdu, ufm.DefaultCUu),
-		}
-		e, err := engine.New(engine.NewConfig(w, usm.Weights{}, engineSeed), core.New(pcfg))
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		r, err := e.Run()
+		r, err := cfg.run(w, usm.Weights{}, policySeed, engineSeed, func(_ int, seed uint64) (engine.Policy, error) {
+			pcfg := core.DefaultConfig(usm.Weights{})
+			pcfg.Seed = seed
+			pcfg.ModulatorOptions = []ufm.Option{
+				ufm.WithConstants(ufm.DefaultCForget, cdu, ufm.DefaultCUu),
+			}
+			return core.New(pcfg), nil
+		})
 		if err != nil {
 			return SensitivityRow{}, err
 		}

@@ -10,12 +10,7 @@
 //	time.Now() // want `wall clock`
 //
 // The backquoted (or double-quoted) text is a regular expression that must
-// match the message of a diagnostic reported on that line. A pattern may
-// carry a multiplicity prefix asserting an exact count of matching
-// diagnostics at that line:
-//
-//	s.mu.Lock() // want 2:`mu`
-//
+// match the message of exactly one diagnostic reported on that line.
 // Lines without a want comment must produce no diagnostics, so every
 // fixture doubles as its own negative test; clean files pin the
 // analyzer's false-positive behaviour.
@@ -28,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -60,11 +54,10 @@ type expect struct {
 	file string
 	line int
 	re   *regexp.Regexp
-	want int // exact number of matching diagnostics expected
-	got  int
+	seen bool // a diagnostic matched
 }
 
-var wantPatRE = regexp.MustCompile("^\\s*(?:(\\d+):)?\\s*(`([^`]*)`|\"([^\"]*)\")")
+var wantPatRE = regexp.MustCompile("^\\s*(`([^`]*)`|\"([^\"]*)\")")
 
 func runOne(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
 	t.Helper()
@@ -94,11 +87,11 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
 		}
 		matched := false
 		for _, e := range expects {
-			if e.got >= e.want || e.file != d.Pos.Filename || e.line != d.Pos.Line {
+			if e.seen || e.file != d.Pos.Filename || e.line != d.Pos.Line {
 				continue
 			}
 			if e.re.MatchString(d.Message) {
-				e.got++
+				e.seen = true
 				matched = true
 				break
 			}
@@ -108,9 +101,9 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
 		}
 	}
 	for _, e := range expects {
-		if e.got != e.want {
-			t.Errorf("%s: %s:%d: expected %d diagnostic(s) matching %q, got %d",
-				path, e.file, e.line, e.want, e.re, e.got)
+		if !e.seen {
+			t.Errorf("%s: %s:%d: expected a diagnostic matching %q, got none",
+				path, e.file, e.line, e.re)
 		}
 	}
 }
@@ -128,28 +121,21 @@ func collectWants(t *testing.T, fset *token.FileSet, f *ast.File) []*expect {
 			}
 			pos := fset.Position(c.Pos())
 			// A single want comment may carry several space-separated
-			// patterns, one per expected diagnostic on the line; an
-			// optional "N:" prefix asserts an exact count instead of 1.
+			// patterns, one per expected diagnostic on the line.
 			for {
 				m := wantPatRE.FindStringSubmatch(rest)
 				if m == nil {
 					break
 				}
-				pat := m[3]
+				pat := m[2]
 				if pat == "" {
-					pat = m[4]
+					pat = m[3]
 				}
 				re, err := regexp.Compile(pat)
 				if err != nil {
 					t.Fatalf("%s: bad want pattern %q: %v", pos, pat, err)
 				}
-				want := 1
-				if m[1] != "" {
-					if want, err = strconv.Atoi(m[1]); err != nil || want < 1 {
-						t.Fatalf("%s: bad want multiplicity %q", pos, m[1])
-					}
-				}
-				out = append(out, &expect{file: pos.Filename, line: pos.Line, re: re, want: want})
+				out = append(out, &expect{file: pos.Filename, line: pos.Line, re: re})
 				rest = rest[len(m[0]):]
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"unitdb/internal/engine"
 	"unitdb/internal/experiments/runner"
 	"unitdb/internal/faults"
-	"unitdb/internal/obs/trace"
 	"unitdb/internal/txn"
 	"unitdb/internal/workload"
 )
@@ -64,11 +63,11 @@ func (p *observer) OnControlTick() {
 }
 
 // engineRun bundles everything a simulator scenario's property can
-// reason about. For sharded runs res is the front door's merged logical
-// view, windows are the element-wise sum of the per-shard observers'
-// windows (shards share the virtual-time axis), maxQueue is the worst
-// single shard's sampled depth, and injected sums the per-shard
-// injectors' tallies.
+// reason about: res is the front door's logical view, windows are the
+// element-wise sum of the per-shard observers' windows (shards share the
+// virtual-time axis), maxQueue is the worst single shard's sampled depth,
+// and injected sums the per-shard injectors' tallies. At one shard each
+// is simply that engine's own.
 type engineRun struct {
 	res      *engine.Results
 	injected faults.Counts
@@ -77,47 +76,17 @@ type engineRun struct {
 	shards   int
 }
 
-// runEngine replays one simulator scenario cell: the given workload
-// under the UNIT policy with the given fault schedule, every random
-// stream sub-seeded from cfg.Seed via the scenario's name.
+// runEngine replays one simulator scenario cell through the one runner,
+// engine.RunShardedDetail: the given workload under the UNIT policy with
+// the given fault schedule, every random stream sub-seeded from cfg.Seed
+// via the scenario's name. Each shard gets its own observer policy and
+// fault injector (ShardedConfig factories run sequentially in shard
+// order, so capturing them by index is safe).
 func runEngine(name string, cfg RunConfig, w *workload.Workload, sched *faults.Schedule) (*engineRun, error) {
-	if cfg.Shards > 1 {
-		return runEngineSharded(name, cfg, w, sched)
-	}
-	pcfg := core.DefaultConfig(scenarioWeights)
-	pcfg.Seed = runner.DeriveSeed(cfg.Seed, "scenario", name, "policy")
-	pol := &observer{Policy: core.New(pcfg)}
-	inj := faults.NewInjector(sched)
-	ecfg := engine.NewConfig(w, scenarioWeights, runner.DeriveSeed(cfg.Seed, "scenario", name, "engine"))
-	ecfg.Disturbance = inj
-	ecfg.Trace = cfg.Trace
-	e, err := engine.New(ecfg, pol)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	return &engineRun{res: res, injected: inj.Counts(), windows: pol.windows, maxQueue: pol.maxQueue, shards: 1}, nil
-}
-
-// runEngineSharded replays the scenario cell across cfg.Shards engine
-// shards behind the front-door router. Each shard gets its own observer
-// policy and fault injector (ShardedConfig factories run sequentially in
-// shard order, so capturing them by index is safe); afterwards the
-// per-shard window series sum element-wise (all shards share one
-// virtual-time axis), the queue bound takes the worst shard, and the
-// injection tallies sum. With a trace recorder attached, each shard
-// records into its own ring and the streams merge shard-stamped and
-// totally ordered (trace.Merge), so sharded replays stay byte-identical
-// per seed too.
-func runEngineSharded(name string, cfg RunConfig, w *workload.Workload, sched *faults.Schedule) (*engineRun, error) {
-	n := cfg.Shards
+	n := max(cfg.Shards, 1)
 	observers := make([]*observer, n)
 	injectors := make([]*faults.Injector, n)
-	var perShard []*trace.Recorder
-	scfg := engine.ShardedConfig{
+	run, err := engine.RunShardedDetail(engine.ShardedConfig{
 		Shards:       n,
 		Workload:     w,
 		Weights:      scenarioWeights,
@@ -134,20 +103,10 @@ func runEngineSharded(name string, cfg RunConfig, w *workload.Workload, sched *f
 			injectors[shard] = faults.NewInjector(sched)
 			return injectors[shard]
 		},
-	}
-	if cfg.Trace != nil {
-		perShard = make([]*trace.Recorder, n)
-		scfg.Trace = func(shard int) *trace.Recorder {
-			perShard[shard] = trace.New(cfg.Trace.EventCap(), cfg.Trace.DecisionCap())
-			return perShard[shard]
-		}
-	}
-	run, err := engine.RunShardedDetail(scfg)
+		Trace: cfg.Trace,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
-	if cfg.Trace != nil {
-		trace.Merge(cfg.Trace, perShard...)
 	}
 	r := &engineRun{res: run.Merged, shards: n}
 	for i := 0; i < n; i++ {

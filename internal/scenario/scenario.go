@@ -36,11 +36,10 @@ type RunConfig struct {
 	// controller decisions (virtual-time stamped for deterministic
 	// scenarios, wall-time for live ones).
 	Trace *trace.Recorder
-	// Shards replays the story across N engine shards behind the
-	// front-door router (engine.RunShardedDetail), weak-scaled: N shards
-	// are N CPUs, so the trace carries N times the query and update
-	// volume while per-item update periods stay fixed. Values <= 1 run
-	// the plain single engine, bitwise-identical to earlier releases.
+	// Shards is the story's shard count in the one runner,
+	// engine.RunShardedDetail, weak-scaled: N shards are N CPUs, so the
+	// trace carries N times the query and update volume while per-item
+	// update periods stay fixed. One shard (or <= 1) is the plain engine.
 	Shards int
 }
 

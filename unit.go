@@ -22,14 +22,9 @@
 package unit
 
 import (
-	"fmt"
-
-	"unitdb/internal/baseline"
-	"unitdb/internal/baseline/qmf"
-	"unitdb/internal/core"
 	"unitdb/internal/core/usm"
 	"unitdb/internal/engine"
-	"unitdb/internal/obs/trace"
+	"unitdb/internal/experiments"
 	"unitdb/internal/workload"
 )
 
@@ -68,14 +63,14 @@ const (
 )
 
 // PolicyName selects one of the built-in algorithms.
-type PolicyName string
+type PolicyName = experiments.PolicyName
 
 // Built-in algorithms.
 const (
-	PolicyUNIT PolicyName = "UNIT"
-	PolicyIMU  PolicyName = "IMU"
-	PolicyODU  PolicyName = "ODU"
-	PolicyQMF  PolicyName = "QMF"
+	PolicyUNIT = experiments.UNIT
+	PolicyIMU  = experiments.IMU
+	PolicyODU  = experiments.ODU
+	PolicyQMF  = experiments.QMF
 )
 
 // Config describes one simulation scenario.
@@ -100,11 +95,10 @@ type Config struct {
 	// controller decisions during the run (see NewTraceRecorder). A nil
 	// recorder leaves the run bitwise-unchanged.
 	Trace *TraceRecorder
-	// Shards partitions the run across N engine shards behind the
-	// front-door router: items hash to shards, multi-item queries
-	// scatter-gather (freshness = min over shard answers), and each
-	// shard's seeds derive from the run seeds by shard index. Values <= 1
-	// run the plain single engine, bitwise-identical to earlier releases.
+	// Shards is the shard count of the one runner, engine.RunSharded:
+	// items hash to shards, multi-item queries scatter-gather (freshness
+	// = min over shard answers), and each shard's seeds derive from the
+	// run seeds by shard index. One shard (or <= 1) is the plain engine.
 	Shards int
 }
 
@@ -131,24 +125,12 @@ func QuickConfig() Config {
 	return c
 }
 
-// NewPolicy instantiates a built-in algorithm.
+// NewPolicy instantiates a built-in algorithm; the empty name is UNIT.
 func NewPolicy(name PolicyName, weights Weights, seed uint64) (Policy, error) {
-	switch name {
-	case PolicyUNIT, "":
-		cfg := core.DefaultConfig(weights)
-		cfg.Seed = seed
-		return core.New(cfg), nil
-	case PolicyIMU:
-		return baseline.NewIMU(), nil
-	case PolicyODU:
-		return baseline.NewODU(), nil
-	case PolicyQMF:
-		cfg := qmf.DefaultConfig()
-		cfg.Seed = seed
-		return qmf.New(cfg), nil
-	default:
-		return nil, fmt.Errorf("unit: unknown policy %q", name)
+	if name == "" {
+		name = PolicyUNIT
 	}
+	return experiments.NewPolicy(name, weights, seed)
 }
 
 // BuildWorkload synthesizes the scenario's workload (query trace plus the
@@ -177,30 +159,7 @@ func Run(cfg Config) (*Results, error) {
 // RunWorkload executes a scenario against an already-built workload,
 // letting callers amortize trace synthesis across policies.
 func RunWorkload(cfg Config, w *workload.Workload) (*Results, error) {
-	if cfg.Shards > 1 {
-		return runShardedWorkload(cfg, w)
-	}
-	p, err := NewPolicy(cfg.Policy, cfg.Weights, cfg.PolicySeed)
-	if err != nil {
-		return nil, err
-	}
-	ecfg := engine.NewConfig(w, cfg.Weights, cfg.EngineSeed)
-	ecfg.Trace = cfg.Trace
-	e, err := engine.New(ecfg, p)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
-}
-
-// runShardedWorkload routes a scenario through the front-door shard
-// router. When a trace recorder is attached, each shard records into its
-// own ring and the streams merge into cfg.Trace afterwards, shard-
-// stamped and totally ordered (trace.Merge), so sharded dumps replay
-// deterministically too.
-func runShardedWorkload(cfg Config, w *workload.Workload) (*Results, error) {
-	var perShard []*trace.Recorder
-	scfg := engine.ShardedConfig{
+	return engine.RunSharded(engine.ShardedConfig{
 		Shards:       cfg.Shards,
 		Workload:     w,
 		Weights:      cfg.Weights,
@@ -210,22 +169,8 @@ func runShardedWorkload(cfg Config, w *workload.Workload) (*Results, error) {
 		Policy: func(_ int, seed uint64) (engine.Policy, error) {
 			return NewPolicy(cfg.Policy, cfg.Weights, seed)
 		},
-	}
-	if cfg.Trace != nil {
-		perShard = make([]*trace.Recorder, cfg.Shards)
-		scfg.Trace = func(shard int) *trace.Recorder {
-			perShard[shard] = trace.New(cfg.Trace.EventCap(), cfg.Trace.DecisionCap())
-			return perShard[shard]
-		}
-	}
-	res, err := engine.RunSharded(scfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Trace != nil {
-		trace.Merge(cfg.Trace, perShard...)
-	}
-	return res, nil
+		Trace: cfg.Trace,
+	})
 }
 
 // Compare runs several policies on the identical workload and returns
