@@ -55,8 +55,10 @@ lint-baseline:
 
 lint: vet unitlint unitlint-self
 
-# Chaos recovery regression: seeded fault injection against the simulator
-# (internal/faults) plus the live server's failure paths, under -race.
+# Chaos regression, under -race: seeded fault injection against the
+# simulator (replay and exactly-once in internal/faults, the recovery law
+# per fault in internal/scenario's TestChaosRecovery) plus the live
+# server's failure paths.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestPanic|TestCancellation|TestGracefulDrain|TestShed' ./...
 

@@ -163,31 +163,16 @@ type GatherAnswer struct {
 // is exactly how the gather layer detects them: fewer answers than
 // slices.
 type shardObserver struct {
-	inner   Policy
+	Policy
 	e       *Engine
 	answers []GatherAnswer
 }
 
-// Name implements Policy.
-func (o *shardObserver) Name() string { return o.inner.Name() }
-
 // Attach implements Policy.
 func (o *shardObserver) Attach(e *Engine) {
 	o.e = e
-	o.inner.Attach(e)
+	o.Policy.Attach(e)
 }
-
-// AdmitQuery implements Policy.
-func (o *shardObserver) AdmitQuery(q *txn.Txn) bool { return o.inner.AdmitQuery(q) }
-
-// AdmitUpdate implements Policy.
-func (o *shardObserver) AdmitUpdate(item int) bool { return o.inner.AdmitUpdate(item) }
-
-// OnSourceUpdate implements Policy.
-func (o *shardObserver) OnSourceUpdate(item int, exec float64) { o.inner.OnSourceUpdate(item, exec) }
-
-// BeforeQueryDispatch implements Policy.
-func (o *shardObserver) BeforeQueryDispatch(q *txn.Txn) bool { return o.inner.BeforeQueryDispatch(q) }
 
 // OnQueryDone implements Policy, capturing the slice's answer.
 func (o *shardObserver) OnQueryDone(q *txn.Txn) {
@@ -199,17 +184,8 @@ func (o *shardObserver) OnQueryDone(q *txn.Txn) {
 			Latency: o.e.Now() - q.Arrival,
 		})
 	}
-	o.inner.OnQueryDone(q)
+	o.Policy.OnQueryDone(q)
 }
-
-// OnUpdateApplied implements Policy.
-func (o *shardObserver) OnUpdateApplied(u *txn.Txn) { o.inner.OnUpdateApplied(u) }
-
-// ControlPeriod implements Policy.
-func (o *shardObserver) ControlPeriod() float64 { return o.inner.ControlPeriod() }
-
-// OnControlTick implements Policy.
-func (o *shardObserver) OnControlTick() { o.inner.OnControlTick() }
 
 // ShardedConfig parameterizes one run behind the front door. It is the
 // only way a simulator cell runs: at Shards <= 1 the front door is the
@@ -299,7 +275,7 @@ func RunShardedDetail(cfg ShardedConfig) (*ShardRun, error) {
 			ecfg.Disturbance = cfg.Disturbance(i)
 		}
 		if n > 1 {
-			obs := &shardObserver{inner: pol}
+			obs := &shardObserver{Policy: pol}
 			observers = append(observers, obs)
 			pol = obs
 			if cfg.Trace != nil {

@@ -4,12 +4,12 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"text/tabwriter"
 
 	"unitdb/internal/core/usm"
+	"unitdb/internal/stats"
 	"unitdb/internal/workload"
 )
 
@@ -73,33 +73,8 @@ func Fig3(cfg Config, v workload.Volume, d workload.Distribution) (*Fig3Result, 
 		applied[i] = float64(item.Applied)
 		queries[i] = float64(item.Queries)
 	}
-	res.AppliedQueryCorrelation = pearson(applied, queries)
+	res.AppliedQueryCorrelation = stats.Pearson(applied, queries)
 	return res, nil
-}
-
-func pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	mx /= float64(n)
-	my /= float64(n)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // DropRatioByAccessRank summarizes how drops concentrate on cold-accessed

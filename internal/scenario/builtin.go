@@ -309,40 +309,22 @@ func init() {
 // extremes swing ±0.3 with ~200 samples per window, while the settled
 // mean varies only a few hundredths across seeds.
 func meanUSMCheck(ws []usm.Counts, bar float64) Check {
-	sum, n := 0.0, 0
-	for i := warmupWindows; i < len(ws); i++ {
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		sum += ws[i].USM(scenarioWeights)
-		n++
-	}
-	if n == 0 {
+	all := settled(ws, 0, len(ws))
+	if len(all) == 0 {
 		return checkf("usm-mean", false, "no settled windows")
 	}
-	mean := sum / float64(n)
-	return checkf("usm-mean", mean >= bar, "mean settled-window USM %.3f over %d windows, bar %.3f", mean, n, bar)
+	mean := meanUSM(all)
+	return checkf("usm-mean", mean >= bar, "mean settled-window USM %.3f over %d windows, bar %.3f", mean, len(all), bar)
 }
 
 // lateRecoveryCheck asserts the windowed USM is back within tolerance
-// of baseLow — the worst settled pre-fault window, i.e. the lower edge
-// of the normal operating band — within recoveryWindows windows after
-// t=after.
+// of baseLow — the worst settled pre-fault window — within
+// recoveryWindows windows after t=after.
 func lateRecoveryCheck(ws []usm.Counts, baseLow, after float64) Check {
 	tol := recoveryTol * scenarioWeights.Range()
-	first := int(after/windowWidth) + 1
-	for k := 0; k < recoveryWindows; k++ {
-		i := first + k
-		if i >= len(ws) {
-			break
-		}
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		if u := ws[i].USM(scenarioWeights); u >= baseLow-tol {
-			return checkf("recovery", true,
-				"windowed USM back to %.3f (baseline low %.3f - tol %.3f) %d windows after t=%g", u, baseLow, tol, k, after)
-		}
+	if u, k, ok := recovered(ws, baseLow, after); ok {
+		return checkf("recovery", true,
+			"windowed USM back to %.3f (baseline low %.3f - tol %.3f) %d windows after t=%g", u, baseLow, tol, k, after)
 	}
 	return checkf("recovery", false,
 		"windowed USM still below %.3f-%.3f %d windows after t=%g:%s",

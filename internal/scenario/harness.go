@@ -13,11 +13,11 @@ import (
 	"unitdb/internal/workload"
 )
 
-// The windowed-USM harness mirrors the chaos suite
-// (internal/faults/recovery_test.go) so scenario properties and chaos
-// regressions speak the same language: 100-second measurement windows,
-// the first five excluded as controller warmup, thin windows ignored,
-// and recovery demanded within four windows of the disturbance ending.
+// The windowed-USM harness is the one recovery law for scenario
+// properties and chaos regressions alike: 100-second measurement
+// windows, the first five excluded as controller warmup, thin windows
+// ignored, and recovery demanded within four windows of the disturbance
+// ending.
 const (
 	windowWidth      = 100.0
 	warmupWindows    = 5
@@ -207,40 +207,79 @@ func dumpWindows(ws []usm.Counts) string {
 	return b.String()
 }
 
-// baselineUSM summarizes the settled pre-fault windows (after warmup,
-// before faultStart, thin windows skipped): their mean USM and the
-// worst single window. The mean anchors the dip clause; the worst
-// window anchors recovery, because a single healthy window routinely
-// sits a few tenths below the mean and "recovered" must mean "back
-// inside the pre-fault operating band", not "above its average".
-func baselineUSM(ws []usm.Counts, faultStart float64) (mean, low float64, ok bool) {
-	end := int(faultStart / windowWidth)
-	sum, n := 0.0, 0
-	for i := warmupWindows; i < end && i < len(ws); i++ {
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		u := ws[i].USM(scenarioWeights)
-		if n == 0 || u < low {
-			low = u
-		}
-		sum += u
-		n++
-	}
-	if n == 0 {
-		return 0, 0, false
-	}
-	return sum / float64(n), low, true
+// settledWindow is one settled window: past warmup and holding at
+// least minWindowSamples outcomes, so its USM means something.
+type settledWindow struct {
+	i   int
+	usm float64
 }
 
-// recoveryChecks evaluates the dip-and-recovery contract the chaos
-// suite pins (DESIGN.md §9): the windowed USM must fall at least minDip
-// below the pre-fault mean in some window overlapping
-// [faultStart, faultEnd+windowWidth) — pass minDip <= 0 to skip the dip
-// clause for disturbances that need not bite — and must climb back to
-// within recoveryTol·Range of the worst pre-fault window (the lower
-// edge of the normal operating band) within recoveryWindows windows of
-// the fault ending.
+// settled returns the settled windows among ws[lo:hi], clamped to the
+// series and to the end of warmup. Every baseline, dip, recovery, floor
+// and mean clause reads the series through it.
+func settled(ws []usm.Counts, lo, hi int) []settledWindow {
+	lo, hi = max(lo, warmupWindows), min(hi, len(ws))
+	var out []settledWindow
+	for i := lo; i < hi; i++ {
+		if ws[i].Total() >= minWindowSamples {
+			out = append(out, settledWindow{i, ws[i].USM(scenarioWeights)})
+		}
+	}
+	return out
+}
+
+// lowest returns the worst of ss; ok is false when ss is empty.
+func lowest(ss []settledWindow) (w settledWindow, ok bool) {
+	for j, s := range ss {
+		if j == 0 || s.usm < w.usm {
+			w = s
+		}
+	}
+	return w, len(ss) > 0
+}
+
+// meanUSM returns the mean USM of ss (0 when ss is empty).
+func meanUSM(ss []settledWindow) float64 {
+	sum := 0.0
+	for _, s := range ss {
+		sum += s.usm
+	}
+	return sum / float64(max(len(ss), 1))
+}
+
+// baselineUSM summarizes the settled pre-fault windows (after warmup,
+// before faultStart): their mean USM and the worst single window. The
+// mean anchors the dip clause; the worst window anchors recovery,
+// because a single healthy window routinely sits a few tenths below the
+// mean and "recovered" must mean "back inside the pre-fault operating
+// band", not "above its average".
+func baselineUSM(ws []usm.Counts, faultStart float64) (mean, low float64, ok bool) {
+	pre := settled(ws, 0, int(faultStart/windowWidth))
+	w, ok := lowest(pre)
+	return meanUSM(pre), w.usm, ok
+}
+
+// recovered scans the recoveryWindows windows from the first one after
+// t=end for a settled window back within recoveryTol·Range of baseLow,
+// the worst settled pre-fault window (the lower edge of the normal
+// operating band). It returns that window's USM and how many windows
+// after end it came.
+func recovered(ws []usm.Counts, baseLow, end float64) (u float64, k int, ok bool) {
+	first := int(end/windowWidth) + 1
+	for _, s := range settled(ws, first, first+recoveryWindows) {
+		if s.usm >= baseLow-recoveryTol*scenarioWeights.Range() {
+			return s.usm, s.i - first, true
+		}
+	}
+	return 0, 0, false
+}
+
+// recoveryChecks evaluates the recovery law (DESIGN.md §12): the
+// windowed USM must fall at least minDip below the pre-fault mean in
+// some window overlapping [faultStart, faultEnd+windowWidth) — pass
+// minDip <= 0 to skip the dip clause for disturbances that need not
+// bite — and must climb back to within recoveryTol·Range of the worst
+// pre-fault window within recoveryWindows windows of the fault ending.
 func recoveryChecks(ws []usm.Counts, faultStart, faultEnd, minDip float64) []Check {
 	base, baseLow, ok := baselineUSM(ws, faultStart)
 	if !ok {
@@ -248,40 +287,21 @@ func recoveryChecks(ws []usm.Counts, faultStart, faultEnd, minDip float64) []Che
 	}
 	checks := []Check{checkf("baseline", true, "pre-fault windowed USM mean %.3f, low %.3f", base, baseLow)}
 
-	dipLo, dipHi := int(faultStart/windowWidth), int(faultEnd/windowWidth)+1
-	worst, worstOK := 0.0, false
-	for i := dipLo; i <= dipHi && i < len(ws); i++ {
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		if u := ws[i].USM(scenarioWeights); !worstOK || u < worst {
-			worst, worstOK = u, true
-		}
-	}
 	if minDip > 0 {
+		worst, ok := lowest(settled(ws, int(faultStart/windowWidth), int(faultEnd/windowWidth)+2))
 		switch {
-		case !worstOK:
+		case !ok:
 			checks = append(checks, checkf("dip", false, "no populated window during fault [%g,%g)", faultStart, faultEnd))
 		default:
-			checks = append(checks, checkf("dip", worst <= base-minDip,
-				"worst in-fault window USM %.3f vs baseline %.3f (want dip >= %.3f)", worst, base, minDip))
+			checks = append(checks, checkf("dip", worst.usm <= base-minDip,
+				"worst in-fault window USM %.3f vs baseline %.3f (want dip >= %.3f)", worst.usm, base, minDip))
 		}
 	}
 
 	tol := recoveryTol * scenarioWeights.Range()
-	bar := baseLow - tol
-	for k := 0; k < recoveryWindows; k++ {
-		i := dipHi + k
-		if i >= len(ws) {
-			break
-		}
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		if u := ws[i].USM(scenarioWeights); u >= bar {
-			return append(checks, checkf("recovery", true,
-				"windowed USM back to %.3f (baseline low %.3f - tol %.3f) %d windows after fault end", u, baseLow, tol, k))
-		}
+	if u, k, ok := recovered(ws, baseLow, faultEnd); ok {
+		return append(checks, checkf("recovery", true,
+			"windowed USM back to %.3f (baseline low %.3f - tol %.3f) %d windows after fault end", u, baseLow, tol, k))
 	}
 	return append(checks, checkf("recovery", false,
 		"windowed USM still below %.3f-%.3f %d windows after fault end %g:%s",
@@ -291,19 +311,11 @@ func recoveryChecks(ws []usm.Counts, faultStart, faultEnd, minDip float64) []Che
 // floorCheck asserts no settled window ever fell below floor — the
 // story's damage stays bounded even at its worst.
 func floorCheck(ws []usm.Counts, floor float64) Check {
-	worst, at, any := 0.0, -1, false
-	for i := warmupWindows; i < len(ws); i++ {
-		if ws[i].Total() < minWindowSamples {
-			continue
-		}
-		if u := ws[i].USM(scenarioWeights); !any || u < worst {
-			worst, at, any = u, i, true
-		}
-	}
-	if !any {
+	worst, ok := lowest(settled(ws, 0, len(ws)))
+	if !ok {
 		return checkf("floor", false, "no settled windows")
 	}
-	return checkf("floor", worst >= floor, "worst settled window w%d USM %.3f, floor %.3f", at, worst, floor)
+	return checkf("floor", worst.usm >= floor, "worst settled window w%d USM %.3f, floor %.3f", worst.i, worst.usm, floor)
 }
 
 // conservationCheck asserts every presented query is accounted for

@@ -23,20 +23,7 @@ func TestThunderingHerd(t *testing.T) {
 		t.Fatal("thundering-herd must not claim determinism")
 	}
 	rec := trace.New(1<<16, 1<<12)
-	rep, err := s.Run(RunConfig{Seed: scenarioSeed, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rep.Property.Checks {
-		if c.Pass {
-			t.Logf("ok   %-22s %s", c.Name, c.Detail)
-		} else {
-			t.Errorf("FAIL %-22s %s", c.Name, c.Detail)
-		}
-	}
-	if !rep.Property.Pass {
-		t.Errorf("property violated (summary %+v)", rep.Summary)
-	}
+	rep := checkProperty(t, s.Name, RunConfig{Seed: scenarioSeed, Trace: rec})
 	if rep.Summary.Attempts <= int64(herdClients*herdQueriesEach) {
 		t.Errorf("storm produced no retries: attempts %d", rep.Summary.Attempts)
 	}

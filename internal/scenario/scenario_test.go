@@ -71,23 +71,39 @@ func TestRegisterPanics(t *testing.T) {
 func TestScenarioProperties(t *testing.T) {
 	for _, name := range deterministicNames() {
 		name := name
-		t.Run(name, func(t *testing.T) {
-			s, _ := Get(name)
-			rep, err := s.Run(RunConfig{Seed: scenarioSeed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range rep.Property.Checks {
-				if c.Pass {
-					t.Logf("ok   %-20s %s", c.Name, c.Detail)
-				} else {
-					t.Errorf("FAIL %-20s %s", c.Name, c.Detail)
-				}
-			}
-			if !rep.Property.Pass {
-				t.Errorf("property violated (summary %+v)", rep.Summary)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkProperty(t, name, RunConfig{Seed: scenarioSeed}) })
+	}
+}
+
+// checkProperty runs one scenario under cfg, asserts its recovery
+// property and returns the report.
+func checkProperty(t *testing.T, name string, cfg RunConfig) *Report {
+	t.Helper()
+	s, _ := Get(name)
+	rep, err := s.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Shards > 1 && rep.Shards != cfg.Shards {
+		t.Errorf("Report.Shards = %d, want %d", rep.Shards, cfg.Shards)
+	}
+	logChecks(t, rep.Property.Checks)
+	if !rep.Property.Pass {
+		t.Errorf("property violated at shards=%d (summary %+v)", cfg.Shards, rep.Summary)
+	}
+	return rep
+}
+
+// logChecks logs every passing clause and fails the test on each
+// violated one, so a regression names the clause it broke.
+func logChecks(t *testing.T, checks []Check) {
+	t.Helper()
+	for _, c := range checks {
+		if c.Pass {
+			t.Logf("ok   %-20s %s", c.Name, c.Detail)
+		} else {
+			t.Errorf("FAIL %-20s %s", c.Name, c.Detail)
+		}
 	}
 }
 
@@ -102,36 +118,45 @@ func TestScenarioReplayIdentical(t *testing.T) {
 	}
 	for _, name := range names {
 		name := name
-		t.Run(name, func(t *testing.T) {
-			s, _ := Get(name)
-			run := func(seed uint64) (*Report, []byte) {
-				rec := trace.New(1<<18, 1<<14)
-				rep, err := s.Run(RunConfig{Seed: seed, Trace: rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := rec.WriteJSONL(&buf); err != nil {
-					t.Fatal(err)
-				}
-				return rep, buf.Bytes()
-			}
-			r1, t1 := run(scenarioSeed)
-			r2, t2 := run(scenarioSeed)
-			if !reflect.DeepEqual(r1, r2) {
-				t.Errorf("same-seed reports diverge:\n%+v\n%+v", r1.Summary, r2.Summary)
-			}
-			if !bytes.Equal(t1, t2) {
-				t.Errorf("same-seed traces diverge (%d vs %d bytes)", len(t1), len(t2))
-			}
-			if len(t1) == 0 {
-				t.Error("trace recorder captured nothing")
-			}
-			r3, _ := run(scenarioSeed + 1)
-			if reflect.DeepEqual(r1.Summary, r3.Summary) {
-				t.Error("different seeds replayed identical summaries; the seed is not flowing")
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkReplay(t, name, 0) })
+	}
+}
+
+// checkReplay replays one scenario twice at the suite seed and once at
+// the next, at the given shard count; sharded runs must also carry
+// shard stamps in their merged trace.
+func checkReplay(t *testing.T, name string, shards int) {
+	t.Helper()
+	s, _ := Get(name)
+	run := func(seed uint64) (*Report, []byte) {
+		rec := trace.New(1<<18, 1<<14)
+		rep, err := s.Run(RunConfig{Seed: seed, Shards: shards, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.Bytes()
+	}
+	r1, t1 := run(scenarioSeed)
+	r2, t2 := run(scenarioSeed)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Errorf("same-seed reports diverge at shards=%d:\n%+v\n%+v", shards, r1.Summary, r2.Summary)
+	}
+	if !bytes.Equal(t1, t2) {
+		t.Errorf("same-seed traces diverge at shards=%d (%d vs %d bytes)", shards, len(t1), len(t2))
+	}
+	if len(t1) == 0 {
+		t.Error("trace recorder captured nothing")
+	}
+	if shards > 1 && !bytes.Contains(t1, []byte(`"shard":`)) {
+		t.Error("merged trace carries no shard stamps")
+	}
+	r3, _ := run(scenarioSeed + 1)
+	if reflect.DeepEqual(r1.Summary, r3.Summary) {
+		t.Error("different seeds replayed identical summaries; the seed is not flowing")
 	}
 }
 

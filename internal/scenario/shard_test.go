@@ -1,12 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
-
-	"unitdb/internal/obs/trace"
 )
 
 // scenarioShardCounts are the shard counts the scenario invariance
@@ -26,24 +23,7 @@ func TestScenarioPropertiesSharded(t *testing.T) {
 			name, shards := name, shards
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				t.Parallel()
-				s, _ := Get(name)
-				rep, err := s.Run(RunConfig{Seed: scenarioSeed, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Shards != shards {
-					t.Errorf("Report.Shards = %d, want %d", rep.Shards, shards)
-				}
-				for _, c := range rep.Property.Checks {
-					if c.Pass {
-						t.Logf("ok   %-20s %s", c.Name, c.Detail)
-					} else {
-						t.Errorf("FAIL %-20s %s", c.Name, c.Detail)
-					}
-				}
-				if !rep.Property.Pass {
-					t.Errorf("property violated at shards=%d (summary %+v)", shards, rep.Summary)
-				}
+				checkProperty(t, name, RunConfig{Seed: scenarioSeed, Shards: shards})
 			})
 		}
 	}
@@ -87,37 +67,7 @@ func TestScenarioReplayIdenticalSharded(t *testing.T) {
 			name, shards := name, shards
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				t.Parallel()
-				s, _ := Get(name)
-				run := func(seed uint64) (*Report, []byte) {
-					rec := trace.New(1<<18, 1<<14)
-					rep, err := s.Run(RunConfig{Seed: seed, Shards: shards, Trace: rec})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := rec.WriteJSONL(&buf); err != nil {
-						t.Fatal(err)
-					}
-					return rep, buf.Bytes()
-				}
-				r1, t1 := run(scenarioSeed)
-				r2, t2 := run(scenarioSeed)
-				if !reflect.DeepEqual(r1, r2) {
-					t.Errorf("same-seed sharded reports diverge:\n%+v\n%+v", r1.Summary, r2.Summary)
-				}
-				if !bytes.Equal(t1, t2) {
-					t.Errorf("same-seed merged traces diverge (%d vs %d bytes)", len(t1), len(t2))
-				}
-				if len(t1) == 0 {
-					t.Error("merged trace recorder captured nothing")
-				}
-				if !bytes.Contains(t1, []byte(`"shard":`)) {
-					t.Error("merged trace carries no shard stamps")
-				}
-				r3, _ := run(scenarioSeed + 1)
-				if reflect.DeepEqual(r1.Summary, r3.Summary) {
-					t.Error("different seeds replayed identical sharded summaries; the seed is not flowing")
-				}
+				checkReplay(t, name, shards)
 			})
 		}
 	}

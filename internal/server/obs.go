@@ -69,16 +69,16 @@ const slowCap = 64
 // register into — a shared registry when the server is one shard behind
 // the front door, nil for a fresh private one. rec is the span-event
 // recorder to use — Config.Trace when a harness injects its own (or the
-// front door's shared ring), nil for a fresh internal ring of traceCap
-// events. extra labels (e.g. shard="3") are appended to every series the
+// front door's shared ring), nil for a fresh internal ring of the
+// default size. extra labels (e.g. shard="3") are appended to every series the
 // surface registers, so shards share one registry without colliding
 // while the family names stay identical to the single-server layout.
-func newServerObs(reg *metrics.Registry, traceCap int, rec *trace.Recorder, extra ...metrics.Label) *serverObs {
+func newServerObs(reg *metrics.Registry, rec *trace.Recorder, extra ...metrics.Label) *serverObs {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	if rec == nil {
-		rec = trace.New(traceCap, 0)
+		rec = trace.New(0, 0)
 	}
 	lab := func(ls ...metrics.Label) []metrics.Label {
 		out := make([]metrics.Label, 0, len(ls)+len(extra))

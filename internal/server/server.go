@@ -60,25 +60,21 @@ type Config struct {
 	// UpdateWork performs an update refresh's computation; nil sleeps for
 	// the request's Work duration.
 	UpdateWork func(UpdateRequest)
-	// TraceCap bounds the /debug/trace span-event ring buffer (default
-	// 4096; the controller decision log keeps its own default).
-	TraceCap int
-	// Trace, when non-nil, replaces the internal span-event recorder so a
-	// harness can capture the query lifecycle into its own ring (and dump
-	// it as an artifact); TraceCap is then ignored. The recorder is
-	// write-only from the server's point of view.
+	// Trace, when non-nil, replaces the internal span-event recorder (a
+	// ring of trace.DefaultEventCap events) so a harness can capture the
+	// query lifecycle into a ring of its own size (and dump it as an
+	// artifact). The recorder is write-only from the server's point of
+	// view.
 	Trace *trace.Recorder
-	// FirstID offsets the server-assigned query ids (the first query gets
-	// FirstID+1). The sharded front door gives each shard a disjoint id
-	// band so a query id names its shard globally; standalone servers
-	// leave it zero.
-	FirstID int64
 
 	// Sharding internals, set by NewSharded (never by users): the shared
-	// metrics registry and the per-shard labels appended to every series
-	// this server registers.
+	// metrics registry, the per-shard labels appended to every series
+	// this server registers, and the offset of the server-assigned query
+	// ids (the first query gets firstID+1), which gives each shard a
+	// disjoint id band so a query id names its shard globally.
 	obsRegistry *metrics.Registry
 	obsLabels   []metrics.Label
+	firstID     int64
 }
 
 // DefaultConfig returns a small live-server configuration.
@@ -324,7 +320,7 @@ func New(cfg Config) (*Server, error) {
 	for i := range ideal {
 		ideal[i] = math.Inf(1) // learned online from feed inter-arrivals
 	}
-	obs := newServerObs(cfg.obsRegistry, cfg.TraceCap, cfg.Trace, cfg.obsLabels...)
+	obs := newServerObs(cfg.obsRegistry, cfg.Trace, cfg.obsLabels...)
 	kcfg := core.Config{
 		Weights:            cfg.Weights,
 		GracePeriod:        cfg.GracePeriod.Seconds(),
@@ -342,7 +338,7 @@ func New(cfg Config) (*Server, error) {
 		lastArrival:  make([]time.Time, cfg.NumItems),
 		interArrival: make([]stats.EWMA, cfg.NumItems),
 		obs:          obs,
-		nextID:       cfg.FirstID,
+		nextID:       cfg.firstID,
 		stopCh:       make(chan struct{}),
 	}
 	s.obs.cflex.Set(s.kern.Admission().CFlex())

@@ -57,7 +57,7 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 	}
 	rec := cfg.Trace
 	if rec == nil {
-		rec = trace.New(cfg.TraceCap, 0)
+		rec = trace.New(0, 0)
 	}
 	if err := cfg.Weights.Validate(); err != nil {
 		return nil, err
@@ -81,7 +81,7 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 		ccfg := cfg
 		ccfg.Workers = perWorkers
 		ccfg.Seed = engine.ShardSeed(cfg.Seed, i, n)
-		ccfg.FirstID = int64(i) << 40
+		ccfg.firstID = int64(i) << 40
 		ccfg.Trace = rec
 		ccfg.obsRegistry = g.reg
 		ccfg.obsLabels = []metrics.Label{{Key: "shard", Value: strconv.Itoa(i)}}
