@@ -134,12 +134,17 @@ profile-sim:
 # CPU and allocation profiles of the live HTTP path (BenchmarkHTTPMix:
 # loopback, one keep-alive connection, zero-work queries with every
 # 16th call an update, as in the http-closed workload) beside the
-# simulator's, with the server test binary for symbols. Read them with
+# simulator's, with the server test binary for symbols, and a CPU
+# profile of the admission walk the server runs under its lock
+# (BenchmarkAdmitOrdered: profiles/admit-cpu.pprof, binary
+# profiles/admission.test). Read them with
 # `go tool pprof -top profiles/server.test profiles/live-cpu.pprof`.
 profile-live:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPMix$$' -benchtime 3s \
 	  -cpuprofile profiles/live-cpu.pprof -memprofile profiles/live-mem.pprof -o profiles/server.test ./internal/server/
+	$(GO) test -run '^$$' -bench '^BenchmarkAdmitOrdered$$' -benchtime 0.5s \
+	  -cpuprofile profiles/admit-cpu.pprof -o profiles/admission.test ./internal/core/admission/
 
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel,

@@ -12,22 +12,30 @@
 //
 // Both gates are one O(N_rq) walk of the query class in dispatch order, as
 // the paper prices them. The ready queue (package readyq) keeps that class
-// sorted, so AdmitOrdered walks it in place: the queries ahead of the
-// candidate are a prefix whose summed Remaining is gate 1's EST, and gate 2
-// carries the same running sum over the rest. Txn.HigherPriority is a
-// strict total order, so the dispatch order is unique and the walk adds the
-// same floats in the same sequence as a walk over a sorted snapshot would —
-// every decision and counter is bit-identical either way (pinned by the
-// oracle property test). Admit is that snapshot-and-sort path, kept for
-// views that are not a readyq.Queue and cannot promise an order; it is the
-// only user of the controller's scratch buffer.
+// sorted as readyq.Entry values that carry each query's deadline, id and
+// remaining work inline, so AdmitOrdered walks contiguous memory in place:
+// the queries ahead of the candidate are a prefix, found by binary search
+// on (deadline, id), whose summed Remaining is gate 1's EST; gate 2
+// carries the same running sum over the rest and touches a Txn only to
+// resolve the weights of a query it endangers. Gate 2 stops at the first
+// point its endangered cost exceeds C_r: every C_fm is non-negative
+// (usm.Weights.Validate), so the running sum never falls back and the
+// verdict is already RejectedUSM.
+//
+// Txn.HigherPriority is a strict total order, so the dispatch order is
+// unique and the walk adds the same floats in the same sequence as a walk
+// over a sorted snapshot would — every decision and counter is
+// bit-identical either way (pinned by the oracle property test). Admit is
+// that snapshot-and-sort path, kept for views that are not a readyq.Queue
+// and cannot promise an order; it is the only user of the controller's
+// scratch buffer.
 package admission
 
 import (
 	"fmt"
-	"slices"
 
 	"unitdb/internal/core/usm"
+	"unitdb/internal/readyq"
 	"unitdb/internal/txn"
 )
 
@@ -74,6 +82,8 @@ func (r Reason) String() string {
 
 // Resolver maps a transaction to its effective USM weights — the hook for
 // heterogeneous user preferences (multi-preference extension, paper §3.1).
+// The weights it returns must pass usm.Weights.Validate: the USM gate's
+// early exit relies on every C_fm being non-negative.
 type Resolver func(*txn.Txn) usm.Weights
 
 // step is the TAC/LAC multiplicative step on C_flex: the paper's 10%.
@@ -94,7 +104,7 @@ type Controller struct {
 	// scratch is Admit's reusable snapshot buffer. A Controller is
 	// single-caller by design (the simulator's event loop or the live
 	// server under its mutex), so one buffer suffices.
-	scratch []*txn.Txn
+	scratch []readyq.Entry
 }
 
 // Option configures a Controller.
@@ -165,42 +175,37 @@ func (c *Controller) Stats() (admitted, rejectedDeadline, rejectedUSM int) {
 }
 
 // Admit decides on a view that cannot promise an order: it snapshots the
-// queued queries into the controller's scratch buffer, sorts them under
-// Txn.HigherPriority, and runs AdmitOrdered over the result. Callers that
-// hold a readyq.Queue call AdmitOrdered directly; this path remains for
-// views assembled from loose transactions.
+// queued queries as readyq entries into the controller's scratch buffer,
+// sorts them into dispatch order, and runs AdmitOrdered over the result.
+// Callers that hold a readyq.Queue call AdmitOrdered directly; this path
+// remains for views assembled from loose transactions.
 func (c *Controller) Admit(now float64, q *txn.Txn, view QueueView) Reason {
-	queued := append(c.scratch[:0], view.QueuedQueries()...)
+	queued := c.scratch[:0]
+	for _, t := range view.QueuedQueries() {
+		queued = append(queued, readyq.EntryOf(t))
+	}
 	c.scratch = queued[:0]
-	slices.SortFunc(queued, func(a, b *txn.Txn) int {
-		if a.HigherPriority(b) {
-			return -1
-		}
-		if b.HigherPriority(a) {
-			return 1
-		}
-		return 0
-	})
+	readyq.SortEntries(queued)
 	return c.AdmitOrdered(now, q, view.RunningRemaining()+view.UpdateBacklog(), queued)
 }
 
 // AdmitOrdered runs both admission gates for candidate q at the given
 // time, updating the decision counters. ahead is the work dispatched
 // before any query (running remainder plus update backlog); queued is the
-// query class of the ready queue in dispatch order — sorted under
-// Txn.HigherPriority, as readyq.Queue.EDFQueries returns it — and is only
-// read. One pass, no allocation.
-func (c *Controller) AdmitOrdered(now float64, q *txn.Txn, ahead float64, queued []*txn.Txn) Reason {
+// query class of the ready queue in dispatch order, as
+// readyq.Queue.EDFQueries returns it, and is only read. One pass, no
+// allocation.
+func (c *Controller) AdmitOrdered(now float64, q *txn.Txn, ahead float64, queued []readyq.Entry) Reason {
 	if q.Class != txn.ClassQuery {
 		panic(fmt.Sprintf("admission: Admit on non-query %v", q))
 	}
 	// Gate 1 — transaction deadline check: C_flex·EST + qe < qt, with EST
 	// the work dispatched ahead of q: ahead plus the queued queries with
 	// earlier deadlines, which in dispatch order are exactly a prefix.
+	n := readyq.Ahead(queued, q)
 	prefix := ahead
-	i := 0
-	for ; i < len(queued) && queued[i].HigherPriority(q); i++ {
-		prefix += queued[i].Remaining
+	for _, e := range queued[:n] {
+		prefix += e.Remaining
 	}
 	if now+c.cflex*prefix+q.EstExec >= q.Deadline {
 		c.rejectedDeadline++
@@ -210,22 +215,22 @@ func (c *Controller) AdmitOrdered(now float64, q *txn.Txn, ahead float64, queued
 	// Gate 2 — system USM check: q delays every queued query behind it by
 	// qe. Carrying the same running prefix over the rest of the queue, sum
 	// the DMF penalties of the queries that delay newly endangers (they
-	// would have finished in time without q, and no longer would). When
-	// that exceeds the candidate's rejection cost, reject. The gate is
-	// inert when both C_fm and C_r are zero (naive USM setting).
+	// would have finished in time without q, and no longer would). Once
+	// that exceeds the candidate's rejection cost, reject: the sum only
+	// grows, as no C_fm is negative. The gate is inert when both C_fm and
+	// C_r are zero (naive USM setting).
+	cr := c.resolve(q).Cr
 	endangeredCost := 0.0
-	for _, other := range queued[i:] {
-		finish := now + prefix + other.Remaining
-		wasSafe := finish < other.Deadline
-		nowLate := finish+q.EstExec >= other.Deadline
-		if wasSafe && nowLate {
-			endangeredCost += c.resolve(other).Cfm
+	for _, e := range queued[n:] {
+		finish := now + prefix + e.Remaining
+		if finish < e.Deadline && finish+q.EstExec >= e.Deadline {
+			endangeredCost += c.resolve(e.Txn).Cfm
+			if endangeredCost > cr {
+				c.rejectedUSM++
+				return RejectedUSM
+			}
 		}
-		prefix += other.Remaining
-	}
-	if endangeredCost > c.resolve(q).Cr {
-		c.rejectedUSM++
-		return RejectedUSM
+		prefix += e.Remaining
 	}
 	c.admitted++
 	return Admitted

@@ -171,6 +171,36 @@ func TestUSMCheckIgnoresAlreadyDoomedQueries(t *testing.T) {
 	}
 }
 
+// TestUSMGateStopsAtFirstExcess: four queued queries, each safe alone and
+// each pushed past its deadline by the candidate. With C_fm = 0.25 and
+// C_r = 0.5 the endangered cost reaches C_r at the second query and passes
+// it at the third, where the gate rejects without resolving the fourth. A
+// cost that only equals C_r does not reject.
+func TestUSMGateStopsAtFirstExcess(t *testing.T) {
+	var resolved []int64
+	c := New(usm.Weights{}, WithResolver(func(tx *txn.Txn) usm.Weights {
+		resolved = append(resolved, tx.ID)
+		return usm.Weights{Cr: 0.5, Cfm: 0.25}
+	}))
+	rq := readyq.New()
+	for i := 1; i <= 4; i++ {
+		// Alone, query i finishes at i; behind the candidate, at i+1.
+		rq.Push(query(int64(i), 0, 1, float64(i)+0.5))
+	}
+	cand := query(9, 0, 1, 1.2) // dispatches first; 1 < 1.2 passes gate 1
+	if got := c.AdmitOrdered(0, cand, 0, rq.EDFQueries()); got != RejectedUSM {
+		t.Fatalf("four endangered queries at C_fm 0.25 against C_r 0.5: %v, want %v", got, RejectedUSM)
+	}
+	if want := []int64{9, 1, 2, 3}; !slices.Equal(resolved, want) {
+		t.Fatalf("resolved %v, want %v: the gate must stop at the first cost above C_r", resolved, want)
+	}
+	rq.Remove(rq.EDFQueries()[3].Txn)
+	rq.Remove(rq.EDFQueries()[2].Txn)
+	if got := c.AdmitOrdered(0, query(10, 0, 1, 1.2), 0, rq.EDFQueries()); got != Admitted {
+		t.Fatalf("endangered cost equal to C_r: %v, want %v", got, Admitted)
+	}
+}
+
 func TestAdmitStats(t *testing.T) {
 	c := New(usm.Weights{})
 	c.Admit(0, query(1, 0, 1, 10), fakeView{})
@@ -292,12 +322,23 @@ func referenceAdmit(c *Controller, now float64, q *txn.Txn, view QueueView) Reas
 // unordered fallback and the old snapshot-and-sort implementation must
 // return the same Reason for every candidate and end with the same Stats.
 // The queues are built tight (deadlines near each query's own finish time)
-// so that both gates fire; the test fails if any verdict never occurs.
+// so that both gates fire, and many queries sit behind each candidate
+// within its execution time of their deadline, so a USM rejection usually
+// leaves endangered queries unvisited. The test fails if any verdict never
+// occurs, or if the ordered walk's early exit never skips an endangered
+// query the reference resolves. One class's C_r is a sum of two others'
+// C_fm (0.25 + 0.25, exact in binary), so the gate meets costs equal to C_r.
 func TestOrderedWalkMatchesReference(t *testing.T) {
-	classes := []usm.Weights{{Cr: 0.2, Cfm: 0.8, Cfs: 0.2}, {Cr: 2, Cfm: 0.6, Cfs: 0.1}, {}}
-	resolver := WithResolver(func(tx *txn.Txn) usm.Weights { return classes[tx.PrefClass] })
+	classes := []usm.Weights{{Cr: 0.2, Cfm: 0.8, Cfs: 0.2}, {Cr: 2, Cfm: 0.6, Cfs: 0.1}, {}, {Cr: 0.5, Cfm: 0.25}}
+	counting := func(n *int) Option {
+		return WithResolver(func(tx *txn.Txn) usm.Weights {
+			*n++
+			return classes[tx.PrefClass]
+		})
+	}
 	depths := []int{0, 1, 2, 3, 7, 64, 500, 2048}
 	var seen [3]int
+	cutShort := 0
 	for seed := uint64(1); seed <= 24; seed++ {
 		rng := stats.NewRNG(seed)
 		depth := depths[int(seed)%len(depths)]
@@ -330,9 +371,10 @@ func TestOrderedWalkMatchesReference(t *testing.T) {
 		}
 		unordered := fakeView{running: running, backlog: backlog, queued: txns}
 
-		ref := New(classes[0], resolver)
-		walk := New(classes[0], resolver)
-		fallback := New(classes[0], resolver)
+		var refCalls, walkCalls, fallbackCalls int
+		ref := New(classes[0], counting(&refCalls))
+		walk := New(classes[0], counting(&walkCalls))
+		fallback := New(classes[0], counting(&fallbackCalls))
 		for n := 0; n < 40; n++ {
 			exec := rng.Uniform(0.001, 0.03)
 			cand := txn.NewQuery(int64(depth+1+n), now, []int{0}, exec, rng.Uniform(0, 1.3)*(finish-now)+exec, 0.9)
@@ -344,9 +386,13 @@ func TestOrderedWalkMatchesReference(t *testing.T) {
 				cand.Deadline = txns[rng.Intn(depth)].Deadline
 			}
 			cand.PrefClass = rng.Intn(len(classes))
+			refBefore, walkBefore := refCalls, walkCalls
 			want := referenceAdmit(ref, now, cand, unordered)
 			if got := walk.AdmitOrdered(now, cand, running+backlog, rq.EDFQueries()); got != want {
 				t.Fatalf("seed %d depth %d cand %d: ordered walk %v, reference %v", seed, depth, n, got, want)
+			}
+			if walkCalls-walkBefore < refCalls-refBefore {
+				cutShort++
 			}
 			if got := fallback.Admit(now, cand, unordered); got != want {
 				t.Fatalf("seed %d depth %d cand %d: unordered fallback %v, reference %v", seed, depth, n, got, want)
@@ -373,4 +419,8 @@ func TestOrderedWalkMatchesReference(t *testing.T) {
 			t.Fatalf("no candidate ended %v: the generator no longer exercises that gate (verdict counts %v)", Reason(r), seen)
 		}
 	}
+	if cutShort == 0 {
+		t.Fatal("the USM gate never stopped before an endangered query: the generator no longer exercises the early exit")
+	}
+	t.Logf("verdicts %v; early exit skipped endangered queries for %d candidates", seen, cutShort)
 }

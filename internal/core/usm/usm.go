@@ -19,10 +19,11 @@ type Weights struct {
 	Cfs float64 // data-stale failure penalty
 }
 
-// Validate returns an error when any penalty is negative.
+// Validate returns an error when any penalty is negative or NaN. Admission's
+// USM gate relies on it: a sum of C_fm values never decreases.
 func (w Weights) Validate() error {
-	if w.Cr < 0 || w.Cfm < 0 || w.Cfs < 0 {
-		return fmt.Errorf("usm: negative penalty in %+v", w)
+	if !(w.Cr >= 0 && w.Cfm >= 0 && w.Cfs >= 0) {
+		return fmt.Errorf("usm: negative or NaN penalty in %+v", w)
 	}
 	return nil
 }

@@ -18,6 +18,9 @@ func TestWeightsValidate(t *testing.T) {
 	if err := (Weights{Cr: -1}).Validate(); err == nil {
 		t.Fatal("negative penalty accepted")
 	}
+	if err := (Weights{Cfm: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN penalty accepted")
+	}
 }
 
 func TestWeightsZeroAndRange(t *testing.T) {

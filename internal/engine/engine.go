@@ -309,7 +309,7 @@ func (e *Engine) UpdateBacklog() float64 { return e.ready.UpdateBacklog() }
 // QueuedQueries returns the query class of the ready queue in dispatch
 // (EDF) order, for admission control to walk in place. The slice is the
 // queue's own storage: read-only, valid until the engine next runs.
-func (e *Engine) QueuedQueries() []*txn.Txn { return e.ready.EDFQueries() }
+func (e *Engine) QueuedQueries() []readyq.Entry { return e.ready.EDFQueries() }
 
 // BusyTime returns the cumulative CPU time consumed so far by queries and
 // by updates. Feedback controllers difference it across windows to measure

@@ -4,13 +4,23 @@
 // repository: the simulator engine and the live server both dispatch from
 // it.
 //
-// Each class is a slice kept sorted under Txn.HigherPriority, which is a
-// strict total order (class, deadline, id) over keys that never change
-// while a transaction is queued — so the sorted order is unique, whatever
-// the push/pop/remove history. That is the invariant admission control
-// relies on: EDFQueries hands it the query class in dispatch order, in
-// place, and the O(N_rq) admission walk of paper §3.3 needs no snapshot,
-// copy or sort per arrival.
+// Each class is one slice of Entry values kept sorted under
+// Txn.HigherPriority, which is a strict total order (class, deadline, id)
+// over keys that never change while a transaction is queued — so the
+// sorted order is unique, whatever the push/pop/remove history. That is the
+// invariant admission control relies on: EDFQueries hands it the query
+// class in dispatch order, in place, and the O(N_rq) admission walk of
+// paper §3.3 needs no snapshot, copy or sort per arrival.
+//
+// An Entry carries its transaction's deadline, id and remaining work
+// inline beside the pointer, so ordering and the admission walk read one
+// contiguous array instead of dereferencing a separately allocated Txn per
+// step. The inline Remaining is a copy taken at Push. It stays equal to
+// the Txn's because a transaction's Remaining changes only while it is out
+// of the queue: the engine charges service to the running transaction and
+// resets a restart before it pushes either back, and the live server never
+// changes it. The readyq model test and the engine's admission test pin
+// that equality.
 //
 // A sorted slice is enough for the depths the queue sees (simulator: at
 // most a few dozen queries; live server: bounded by MaxQueue = 4096).
@@ -22,10 +32,63 @@ package readyq
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"unitdb/internal/txn"
 )
+
+// Entry is one queued transaction: its dispatch key and remaining service
+// demand stored inline, and the transaction itself. Deadline, ID and
+// Remaining equal Txn's fields for as long as the entry is queued.
+type Entry struct {
+	Deadline  float64
+	ID        int64
+	Remaining float64
+	Txn       *txn.Txn
+}
+
+// EntryOf captures t's key and remaining work.
+func EntryOf(t *txn.Txn) Entry {
+	return Entry{Deadline: t.Deadline, ID: t.ID, Remaining: t.Remaining, Txn: t}
+}
+
+// before reports whether key (d1, id1) dispatches ahead of (d2, id2) within
+// one class. It makes Txn.HigherPriority's comparisons, on inline keys.
+func before(d1 float64, id1 int64, d2 float64, id2 int64) bool {
+	if d1 != d2 {
+		return d1 < d2
+	}
+	return id1 < id2
+}
+
+// Ahead returns how many of entries — one class in dispatch order, as
+// EDFQueries returns it — dispatch strictly before t: the position t
+// occupies, or would be inserted at. t must be of that class. It is a
+// binary search on (Deadline, ID) that reads no Txn.
+func Ahead(entries []Entry, t *txn.Txn) int {
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if before(entries[m].Deadline, entries[m].ID, t.Deadline, t.ID) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// SortEntries sorts entries of one class into dispatch order.
+func SortEntries(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if before(a.Deadline, a.ID, b.Deadline, b.ID) {
+			return -1
+		}
+		if before(b.Deadline, b.ID, a.Deadline, a.ID) {
+			return 1
+		}
+		return 0
+	})
+}
 
 // Queue is the two-class EDF ready queue. Not safe for concurrent use.
 type Queue struct {
@@ -52,10 +115,11 @@ func (q *Queue) LenClass(c txn.Class) int {
 // Contains reports whether t itself (not merely an equal key) is queued.
 func (q *Queue) Contains(t *txn.Txn) bool { return q.seqFor(t).find(t) >= 0 }
 
-// Push enqueues t. It panics if t is already queued.
+// Push enqueues t, capturing its key and Remaining. It panics if t is
+// already queued.
 func (q *Queue) Push(t *txn.Txn) {
 	s := q.seqFor(t)
-	i := s.search(t)
+	i := Ahead(s.live(), t)
 	if s.findFrom(i, t) >= 0 {
 		panic(fmt.Sprintf("readyq: %v pushed twice", t))
 	}
@@ -78,10 +142,10 @@ func (q *Queue) Pop() *txn.Txn {
 // when empty.
 func (q *Queue) Peek() *txn.Txn {
 	if q.updates.len() > 0 {
-		return q.updates.live()[0]
+		return q.updates.live()[0].Txn
 	}
 	if q.queries.len() > 0 {
-		return q.queries.live()[0]
+		return q.queries.live()[0].Txn
 	}
 	return nil
 }
@@ -101,27 +165,16 @@ func (q *Queue) Remove(t *txn.Txn) bool {
 // under Txn.HigherPriority). The slice is the queue's own storage: the
 // caller must not modify it, and it is valid only until the next Push,
 // Pop or Remove.
-func (q *Queue) EDFQueries() []*txn.Txn { return q.queries.live() }
+func (q *Queue) EDFQueries() []Entry { return q.queries.live() }
 
 // UpdateBacklog returns the total remaining service demand of queued
 // updates; queries dispatch only after all of it.
 func (q *Queue) UpdateBacklog() float64 {
 	sum := 0.0
-	for _, t := range q.updates.live() {
-		sum += t.Remaining
+	for _, e := range q.updates.live() {
+		sum += e.Remaining
 	}
 	return sum
-}
-
-// ExpiredQueries returns queued queries whose firm deadline has passed.
-func (q *Queue) ExpiredQueries(now float64) []*txn.Txn {
-	var out []*txn.Txn
-	for _, t := range q.queries.live() {
-		if t.Expired(now) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func (q *Queue) seqFor(t *txn.Txn) *edfSeq {
@@ -131,34 +184,27 @@ func (q *Queue) seqFor(t *txn.Txn) *edfSeq {
 	return &q.queries
 }
 
-// edfSeq is one class's transactions, txns[head:] sorted under
-// Txn.HigherPriority. Slots below head are popped and nil.
+// edfSeq is one class's entries, entries[head:] sorted under
+// Txn.HigherPriority. Slots below head are popped and zeroed.
 type edfSeq struct {
-	txns []*txn.Txn
-	head int
+	entries []Entry
+	head    int
 }
 
-func (s *edfSeq) len() int { return len(s.txns) - s.head }
+func (s *edfSeq) len() int { return len(s.entries) - s.head }
 
-func (s *edfSeq) live() []*txn.Txn { return s.txns[s.head:] }
-
-// search returns the number of live transactions that dispatch strictly
-// before t — the position t occupies, or would be inserted at.
-func (s *edfSeq) search(t *txn.Txn) int {
-	live := s.live()
-	return sort.Search(len(live), func(i int) bool { return !live[i].HigherPriority(t) })
-}
+func (s *edfSeq) live() []Entry { return s.entries[s.head:] }
 
 // find returns t's index in live(), or -1 when t is not queued.
-func (s *edfSeq) find(t *txn.Txn) int { return s.findFrom(s.search(t), t) }
+func (s *edfSeq) find(t *txn.Txn) int { return s.findFrom(Ahead(s.live(), t), t) }
 
 // findFrom looks for t itself from its search position i on. Distinct
 // transactions normally have distinct keys and the first probe decides;
 // the loop covers a run of equal keys so membership stays exact.
 func (s *edfSeq) findFrom(i int, t *txn.Txn) int {
 	live := s.live()
-	for ; i < len(live) && !t.HigherPriority(live[i]); i++ {
-		if live[i] == t {
+	for ; i < len(live) && !before(t.Deadline, t.ID, live[i].Deadline, live[i].ID); i++ {
+		if live[i].Txn == t {
 			return i
 		}
 	}
@@ -168,19 +214,19 @@ func (s *edfSeq) findFrom(i int, t *txn.Txn) int {
 // insert places t at index i of live(). When the backing array is full
 // the popped slots below head are reclaimed before it is grown.
 func (s *edfSeq) insert(i int, t *txn.Txn) {
-	if s.head > 0 && len(s.txns) == cap(s.txns) {
-		s.txns, s.head = slices.Delete(s.txns, 0, s.head), 0
+	if s.head > 0 && len(s.entries) == cap(s.entries) {
+		s.entries, s.head = slices.Delete(s.entries, 0, s.head), 0
 	}
-	s.txns = slices.Insert(s.txns, s.head+i, t)
+	s.entries = slices.Insert(s.entries, s.head+i, EntryOf(t))
 }
 
 // pop removes and returns the first live transaction.
 func (s *edfSeq) pop() *txn.Txn {
-	t := s.txns[s.head]
-	s.txns[s.head] = nil
+	t := s.entries[s.head].Txn
+	s.entries[s.head] = Entry{}
 	s.head++
-	if s.head == len(s.txns) {
-		s.txns, s.head = s.txns[:0], 0
+	if s.head == len(s.entries) {
+		s.entries, s.head = s.entries[:0], 0
 	}
 	return t
 }
@@ -191,5 +237,5 @@ func (s *edfSeq) remove(i int) {
 		s.pop()
 		return
 	}
-	s.txns = slices.Delete(s.txns, s.head+i, s.head+i+1)
+	s.entries = slices.Delete(s.entries, s.head+i, s.head+i+1)
 }

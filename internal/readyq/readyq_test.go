@@ -112,21 +112,6 @@ func TestUpdateBacklog(t *testing.T) {
 	}
 }
 
-func TestExpiredQueries(t *testing.T) {
-	rq := New()
-	a := q(1, 5)
-	b := q(2, 50)
-	rq.Push(a)
-	rq.Push(b)
-	exp := rq.ExpiredQueries(10)
-	if len(exp) != 1 || exp[0] != a {
-		t.Fatalf("expired = %v", exp)
-	}
-	if len(rq.ExpiredQueries(1)) != 0 {
-		t.Fatal("nothing expired at t=1")
-	}
-}
-
 func TestHeapOrderProperty(t *testing.T) {
 	// Popping everything always yields: all updates before all queries,
 	// deadlines non-decreasing within each class, regardless of push or
@@ -203,13 +188,29 @@ func (h refHeap) index(t *txn.Txn) int {
 	return -1
 }
 
+// inlineMismatch returns a queued entry whose inline Deadline, ID or
+// Remaining differs from its transaction's, if there is one.
+func inlineMismatch(rq *Queue) (Entry, bool) {
+	for _, s := range []*edfSeq{&rq.updates, &rq.queries} {
+		for _, e := range s.live() {
+			if e.Deadline != e.Txn.Deadline || e.ID != e.Txn.ID || e.Remaining != e.Txn.Remaining {
+				return e, true
+			}
+		}
+	}
+	return Entry{}, false
+}
+
 // TestOrderedQueueMatchesHeap drives the queue and a binary heap with the
 // same seeded push/pop/remove stream. Deadlines come from a handful of
 // values so ties are the rule, and some transactions share a whole key
 // (class, deadline, id) with a queued twin. After every operation the
 // in-order view must be strictly sorted under HigherPriority, Contains
 // must be exact — true for members, false for removed transactions and
-// for never-pushed twins — and Pop and Peek must agree with the heap.
+// for never-pushed twins — Pop and Peek must agree with the heap, and every
+// entry's inline key and Remaining must equal its transaction's. Half the
+// transactions are partly run, and some leave and come back with less work
+// left or restarted, so a stale or mis-captured Remaining shows.
 func TestOrderedQueueMatchesHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := stats.NewRNG(seed)
@@ -219,16 +220,34 @@ func TestOrderedQueueMatchesHeap(t *testing.T) {
 		var id int64
 		mk := func(id int64) *txn.Txn {
 			dl := float64(rng.Intn(8))
+			tx := q(id, dl)
 			if rng.Float64() < 0.3 {
-				return u(id, dl)
+				tx = u(id, dl)
 			}
-			return q(id, dl)
+			if rng.Float64() < 0.5 {
+				tx.Remaining = tx.Exec * rng.Float64() // preempted part-way
+			}
+			return tx
 		}
 		for op := 0; op < 600; op++ {
 			switch r := rng.Float64(); {
-			case r < 0.5 || ref.Len() == 0:
+			case r < 0.45 || ref.Len() == 0:
 				id++
 				tx := mk(id)
+				rq.Push(tx)
+				heap.Push(ref, tx)
+			case r < 0.55 && len(gone) > 0:
+				// Back in the queue with less work left, or all of it after
+				// a restart, as the engine re-pushes a preempted or aborted
+				// transaction: Push must capture the new Remaining.
+				k := rng.Intn(len(gone))
+				tx := gone[k]
+				gone = append(gone[:k], gone[k+1:]...)
+				if rng.Float64() < 0.5 {
+					tx.ResetForRestart()
+				} else {
+					tx.Remaining *= rng.Float64()
+				}
 				rq.Push(tx)
 				heap.Push(ref, tx)
 			case r < 0.75:
@@ -263,9 +282,12 @@ func TestOrderedQueueMatchesHeap(t *testing.T) {
 				t.Fatalf("seed %d op %d: %d queries in order, LenClass %d", seed, op, len(edf), rq.LenClass(txn.ClassQuery))
 			}
 			for i := 1; i < len(edf); i++ {
-				if !edf[i-1].HigherPriority(edf[i]) {
-					t.Fatalf("seed %d op %d: EDFQueries out of order at %d: %v then %v", seed, op, i, edf[i-1], edf[i])
+				if !edf[i-1].Txn.HigherPriority(edf[i].Txn) {
+					t.Fatalf("seed %d op %d: EDFQueries out of order at %d: %v then %v", seed, op, i, edf[i-1].Txn, edf[i].Txn)
 				}
+			}
+			if e, ok := inlineMismatch(rq); ok {
+				t.Fatalf("seed %d op %d: entry (dl=%v id=%d rem=%v) differs from its %v", seed, op, e.Deadline, e.ID, e.Remaining, e.Txn)
 			}
 			for _, tx := range *ref {
 				if !rq.Contains(tx) {

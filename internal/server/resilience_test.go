@@ -294,8 +294,8 @@ func TestDequeueByIdentityAmongEqualDeadlines(t *testing.T) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		var items []int
-		for _, tx := range s.queue.EDFQueries() {
-			items = append(items, tx.Owner.(*liveQuery).req.Items[0])
+		for _, e := range s.queue.EDFQueries() {
+			items = append(items, e.Txn.Owner.(*liveQuery).req.Items[0])
 		}
 		return items
 	}
