@@ -371,10 +371,10 @@ func TestOrderedWalkMatchesReference(t *testing.T) {
 		}
 		unordered := fakeView{running: running, backlog: backlog, queued: txns}
 
-		var refCalls, walkCalls, fallbackCalls int
+		var refCalls, walkCalls int
 		ref := New(classes[0], counting(&refCalls))
 		walk := New(classes[0], counting(&walkCalls))
-		fallback := New(classes[0], counting(&fallbackCalls))
+		fallback := New(classes[0], counting(new(int)))
 		for n := 0; n < 40; n++ {
 			exec := rng.Uniform(0.001, 0.03)
 			cand := txn.NewQuery(int64(depth+1+n), now, []int{0}, exec, rng.Uniform(0, 1.3)*(finish-now)+exec, 0.9)
