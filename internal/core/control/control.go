@@ -133,7 +133,9 @@ func (l *LBC) DecideTallyExplained(window usm.Tally) (Action, Costs) {
 		return Action{}, costs
 	}
 	// Collect the argmax set and break ties randomly (paper Fig. 2 line 4).
-	var candidates []int
+	// The set has at most three members, so it lives on the stack.
+	var tied [3]int
+	candidates := tied[:0]
 	if r == max {
 		candidates = append(candidates, 0)
 	}

@@ -178,3 +178,17 @@ func TestDecideTallyExplainedCosts(t *testing.T) {
 		t.Fatalf("clean window: action %v costs %+v", a3, c3)
 	}
 }
+
+// TestDecideAllocFree: a decision allocates nothing, including the
+// three-way tie whose argmax set is largest. It runs once per control
+// tick in every simulated cell, so a heap-allocated tie set would add one
+// object per decision to the simulator's allocation count.
+func TestDecideAllocFree(t *testing.T) {
+	l := newLBC(usm.Weights{Cr: 1, Cfm: 1, Cfs: 1})
+	var w usm.Tally
+	w.Counts = usm.Counts{Success: 1, Rejected: 3, DMF: 3, DSF: 3}
+	w.RCost, w.FmCost, w.FsCost = 3, 3, 3
+	if a := testing.AllocsPerRun(100, func() { l.DecideTallyExplained(w) }); a != 0 {
+		t.Fatalf("DecideTallyExplained allocated %v times per call", a)
+	}
+}

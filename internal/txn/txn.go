@@ -172,15 +172,6 @@ func (t *Txn) Item() int {
 	return t.Items[0]
 }
 
-// Slack returns the spare time before the deadline assuming the transaction
-// starts now and runs uninterrupted.
-func (t *Txn) Slack(now float64) float64 {
-	return t.Deadline - now - t.Remaining
-}
-
-// Expired reports whether the firm deadline has passed.
-func (t *Txn) Expired(now float64) bool { return now >= t.Deadline }
-
 // ResetForRestart restores the full service demand after a 2PL-HP abort.
 // The restarted transaction will re-read its items, so the read-freshness
 // sample is discarded.

@@ -66,19 +66,6 @@ func TestItemPanicsOnQuery(t *testing.T) {
 	q.Item()
 }
 
-func TestSlackAndExpired(t *testing.T) {
-	q := NewQuery(1, 0, []int{0}, 2, 10, 0.9)
-	if got := q.Slack(0); got != 8 {
-		t.Fatalf("slack = %v", got)
-	}
-	if q.Expired(9.99) {
-		t.Fatal("not yet expired")
-	}
-	if !q.Expired(10) {
-		t.Fatal("expired at deadline")
-	}
-}
-
 func TestResetForRestart(t *testing.T) {
 	q := NewQuery(1, 0, []int{0}, 2, 10, 0.9)
 	q.Remaining = 0.3
