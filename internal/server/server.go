@@ -223,9 +223,9 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 // Locking: mu is the single coarse lock; every field annotated
 // "guarded by mu" may only be touched while holding it (the guardedflow
 // analyzer in internal/lint enforces the convention, `go test -race`
-// checks the dynamics). cfg, start, cond, wg and stopCh are set in New
-// before the Server escapes and are immutable or internally synchronized
-// afterwards.
+// checks the dynamics). cfg, start, cond, expiry, wg and stopCh are set
+// in New before the Server escapes and are immutable or internally
+// synchronized afterwards.
 //
 // Ownership: unlike Engine, no field here is owned by one goroutine —
 // every piece of mutable state is deliberately shared between the
@@ -249,6 +249,14 @@ type Server struct {
 	queue   *readyq.Queue // guarded by mu; queries only (updates apply inline)
 	backlog float64       // guarded by mu; queued work, seconds
 	running float64       // guarded by mu; in-flight work, seconds
+
+	// One timer enforces every queued query's firm deadline (paper §3.1):
+	// it is armed for the EDF head of queue, and expireLoop resolves what
+	// is due when it fires. Executing queries get their verdict from the
+	// worker. expiry is Reset and Stopped only under mu.
+	expiry  *time.Timer
+	armed   *liveQuery // guarded by mu; the query expiry was armed for, or nil
+	armedAt float64    // guarded by mu; armed's deadline, +Inf when idle
 
 	lastApplied  []time.Time  // guarded by mu
 	lastArrival  []time.Time  // guarded by mu
@@ -339,8 +347,11 @@ func New(cfg Config) (*Server, error) {
 		interArrival: make([]stats.EWMA, cfg.NumItems),
 		obs:          obs,
 		nextID:       cfg.firstID,
+		armedAt:      math.Inf(1),
+		expiry:       time.NewTimer(time.Hour),
 		stopCh:       make(chan struct{}),
 	}
+	s.expiry.Stop()
 	s.obs.cflex.Set(s.kern.Admission().CFlex())
 	for i := range s.interArrival {
 		s.interArrival[i] = *stats.NewEWMA(0.3)
@@ -350,8 +361,9 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.controlLoop()
+	go s.expireLoop()
 	return s, nil
 }
 
@@ -370,6 +382,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.stopCh)
+	s.expiry.Stop()
 	for tx := s.queue.Pop(); tx != nil; tx = s.queue.Pop() {
 		q := tx.Owner.(*liveQuery)
 		s.drained++
@@ -474,63 +487,105 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	q := &liveQuery{req: req, ctx: ctx, tx: tx, done: make(chan QueryResponse, 1), enqueuedAt: s.now()}
 	tx.Owner = q
 	s.queue.Push(tx)
+	s.armLocked(q, s.now())
 	s.backlog += req.Work.Seconds()
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: tx.ID})
 	s.queueGaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
 
-	// dequeue removes q when it is still queued; ok=false means a worker
-	// got to it first (or shutdown drained it) and its verdict is coming.
-	dequeue := func() bool {
-		if s.queue.Remove(tx) {
-			s.backlog -= q.req.Work.Seconds()
-			s.queueGaugesLocked()
-			return true
+	// The verdict arrives on done from whoever resolves the query: a
+	// worker, the deadline timer, or Close. A client that can go away may
+	// instead abandon the query while it is still queued.
+	if ctx.Done() != nil {
+		select {
+		case resp := <-q.done:
+			resp.Latency = time.Since(started)
+			return resp
+		case <-ctx.Done():
 		}
-		return false
-	}
-
-	// Stopped on every return: go.mod's go 1.22 timer semantics keep an
-	// un-stopped timer in the runtime's heap until it fires.
-	expiry := time.NewTimer(req.Deadline)
-	defer expiry.Stop()
-	select {
-	case resp := <-q.done:
-		resp.Latency = time.Since(started)
-		return resp
-	case <-ctx.Done():
-		// Client disconnected: abandon a queued query before it burns CPU.
 		s.mu.Lock()
-		if dequeue() {
+		if s.queue.Remove(tx) {
 			// The user is gone: nothing enters the USM accountant, the
 			// cancellation is only tallied.
+			s.backlog -= q.req.Work.Seconds()
+			s.queueGaugesLocked()
 			s.canceled++
 			st := q.stagesLocked(s.now())
 			s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: tx.ID, Outcome: string(OutcomeCanceled), Stages: st})
 			s.mu.Unlock()
 			return QueryResponse{Outcome: OutcomeCanceled, Latency: time.Since(started), Query: tx.ID, Stages: st}
 		}
+		// A worker, the timer or Close got to it first; its verdict is
+		// coming.
 		s.mu.Unlock()
-		resp := <-q.done
-		resp.Latency = time.Since(started)
-		return resp
-	case <-expiry.C:
-		// Firm deadline: abort wherever the query is. A worker may resolve
-		// it concurrently; whoever finalizes first wins.
-		s.mu.Lock()
-		if dequeue() {
-			st := q.stagesLocked(s.now())
-			s.finalizeLocked(tx, txn.OutcomeDMF, st)
-			s.mu.Unlock()
-			return QueryResponse{Outcome: OutcomeDMF, Latency: time.Since(started), Query: tx.ID, Stages: st}
-		}
-		s.mu.Unlock()
-		// Already executing: wait for the worker's verdict.
-		resp := <-q.done
-		resp.Latency = time.Since(started)
-		return resp
 	}
+	resp := <-q.done
+	resp.Latency = time.Since(started)
+	return resp
+}
+
+// armLocked points the deadline timer at q, due at its deadline, unless
+// the timer is already armed for an earlier one. Every push calls it, so
+// the timer is always armed for the EDF head or earlier (a head popped by
+// a worker leaves it early, and expireDue re-arms).
+func (s *Server) armLocked(q *liveQuery, now float64) {
+	if q.tx.Deadline >= s.armedAt {
+		return
+	}
+	s.armed, s.armedAt = q, q.tx.Deadline
+	s.expiry.Reset(time.Duration(math.Ceil((q.tx.Deadline - now) * 1e9)))
+}
+
+// expireLoop runs the deadline timer until Close.
+func (s *Server) expireLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.stopCh:
+			return
+		case <-s.expiry.C:
+			s.mu.Lock()
+			if !s.closed {
+				s.expireDueLocked(s.now())
+			}
+			s.mu.Unlock()
+		}
+	}
+}
+
+// expireDueLocked resolves, as deadline misses, the query the timer was
+// armed for and every queued query whose deadline has passed, then
+// re-arms the timer for the new EDF head. The armed query is removed by
+// identity, so its deadline holds even when it no longer heads the
+// queue. A tick from an earlier arming finds nothing due and only
+// re-arms.
+func (s *Server) expireDueLocked(now float64) {
+	if s.armedAt <= now {
+		if s.queue.Remove(s.armed.tx) {
+			s.expireLocked(s.armed, now)
+		}
+		s.armed, s.armedAt = nil, math.Inf(1)
+	}
+	for tx := s.queue.Peek(); tx != nil && tx.Deadline <= now; tx = s.queue.Peek() {
+		s.queue.Pop()
+		s.expireLocked(tx.Owner.(*liveQuery), now)
+	}
+	if tx := s.queue.Peek(); tx != nil {
+		s.armLocked(tx.Owner.(*liveQuery), now)
+	}
+	s.queueGaugesLocked()
+}
+
+// expireLocked resolves q, already unlinked from the queue, as a deadline
+// miss and hands the verdict to its caller.
+//
+//unitlint:outcome q.tx
+func (s *Server) expireLocked(q *liveQuery, now float64) {
+	s.backlog -= q.req.Work.Seconds()
+	st := q.stagesLocked(now)
+	s.finalizeLocked(q.tx, txn.OutcomeDMF, st)
+	q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 }
 
 // Update ingests one update-feed write. It returns true when the update
