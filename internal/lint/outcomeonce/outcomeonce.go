@@ -20,7 +20,7 @@
 //	resolved — an Outcome guard proved someone else already finalized it
 //
 // Recording an outcome means calling a finalize*-named function with the
-// key as first argument, or assigning a non-Pending value to
+// key (or its address) as first argument, or assigning a non-Pending value to
 // <key>.Outcome. Assigning OutcomePending re-arms the obligation.
 // Conditions of the form <key>.Outcome ==/!= ...OutcomePending refine the
 // state edge-sensitively: the pending edge owes an outcome, the other
@@ -179,6 +179,15 @@ func findsFinalize(body *ast.BlockStmt) (token.Pos, bool) {
 		return true
 	})
 	return pos, pos != token.NoPos
+}
+
+// argKey flattens a call argument naming a transaction: the key itself,
+// or its address when the driver embeds the transaction by value (&q.tx).
+func argKey(e ast.Expr) string {
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	return lockstate.Flatten(e)
 }
 
 func calleeName(call *ast.CallExpr) string {
@@ -384,12 +393,12 @@ func (c *checker) nodeOps(n ast.Node, key, base string) (finals []token.Pos, kee
 		case *ast.CallExpr:
 			name := calleeName(node)
 			if strings.HasPrefix(name, "finalize") && len(node.Args) > 0 &&
-				lockstate.Flatten(node.Args[0]) == key {
+				argKey(node.Args[0]) == key {
 				finals = append(finals, node.Pos())
 			}
 			if name == "Push" {
 				for _, arg := range node.Args {
-					if flat := lockstate.Flatten(arg); flat == key || flat == base {
+					if flat := argKey(arg); flat == key || flat == base {
 						keeps++
 						break
 					}

@@ -154,6 +154,21 @@ func (e *Engine) drainBoxes(boxes []*box) {
 	}
 }
 
+// A transaction embedded by value: finalizing or queueing its address
+// settles the dotted key.
+type slot struct{ t Txn }
+
+//unitlint:outcome s.t
+func (e *Engine) settleSlots(slots []*slot, keep bool) {
+	for _, s := range slots {
+		if keep {
+			e.ready.Push(&s.t)
+			continue
+		}
+		e.finalizeQuery(&s.t, OutcomeDMF)
+	}
+}
+
 // Finalizing without declaring ownership: the law cannot be checked, so
 // the missing directive is itself a finding.
 func (e *Engine) sneaky(q *Txn) {

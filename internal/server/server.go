@@ -184,14 +184,16 @@ type WindowStats struct {
 	USM     float64    `json:"usm"`
 }
 
-// liveQuery is the per-request state behind a queued transaction; tx.Owner
-// points back at it, so a transaction popped from the ready queue finds its
-// request.
+// liveQuery is the per-request state of an admitted query, one heap
+// object: it embeds the queued transaction, whose Owner points back at it
+// so a transaction popped from the ready queue finds its request, and the
+// stage breakdown that its response and outcome event share.
 type liveQuery struct {
-	req  QueryRequest
-	ctx  context.Context
-	tx   *txn.Txn
-	done chan QueryResponse
+	tx     txn.Txn
+	stages trace.StageBreakdown
+	req    QueryRequest
+	ctx    context.Context
+	done   chan QueryResponse // from doneChans; its one send is the verdict
 
 	// Wall-time stage stamps (seconds since server start), for the
 	// StageBreakdown finalized with the outcome. Both are written and read
@@ -205,9 +207,9 @@ type liveQuery struct {
 // no lock manager and never restarts an attempt, so only QueueWait and
 // Exec can be nonzero: queue wait runs from enqueue to the worker pickup
 // (or to finalization, for queries resolved while still queued), exec
-// from pickup to finalization.
+// from pickup to finalization. It is called once, at finalization.
 func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
-	b := &trace.StageBreakdown{}
+	b := &q.stages
 	if q.execStart > 0 {
 		b.QueueWait = q.execStart - q.enqueuedAt
 		b.Exec = now - q.execStart
@@ -217,6 +219,17 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 	b.Total = b.Sum()
 	return b
 }
+
+// doneChans recycles the verdict channels of resolved queries. Each
+// carries exactly one send, or none when a canceled query is unlinked
+// before anyone resolves it, so a channel goes back empty once its
+// caller has the verdict.
+var doneChans = sync.Pool{New: func() any { return make(chan QueryResponse, 1) }}
+
+// noStages is the all-zero breakdown of a query rejected at arrival
+// (nothing accrued, mirroring the engine's breakdown for rejects), shared
+// read-only by every such outcome event.
+var noStages trace.StageBreakdown
 
 // Server is the live web-database. Create with New, stop with Close.
 //
@@ -265,6 +278,11 @@ type Server struct {
 	updatesApplied int   // guarded by mu
 	updatesDropped int   // guarded by mu
 	nextID         int64 // guarded by mu
+
+	// arrival is the transaction of the arrival under admission. A
+	// rejected arrival is finalized here and allocates nothing; an
+	// admitted one is copied into its liveQuery.
+	arrival txn.Txn // guarded by mu
 
 	shed     int // guarded by mu; rejected by the MaxQueue backstop
 	panicked int // guarded by mu; query/update work that panicked
@@ -389,7 +407,7 @@ func (s *Server) Close() {
 		s.obs.drained.Inc()
 		s.backlog -= q.req.Work.Seconds()
 		st := q.stagesLocked(s.now())
-		s.finalizeLocked(q.tx, txn.OutcomeRejected, st)
+		s.finalizeLocked(&q.tx, txn.OutcomeRejected, st)
 		q.done <- QueryResponse{Outcome: OutcomeRejected, Query: q.tx.ID, Stages: st}
 	}
 	s.queueGaugesLocked()
@@ -464,32 +482,35 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	}
 	now := s.now()
 	s.nextID++
-	tx := txn.NewQuery(s.nextID, now, req.Items, req.Work.Seconds(), req.Deadline.Seconds(), req.Freshness)
-	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindArrive, Query: tx.ID, Items: len(tx.Items), Deadline: tx.Deadline})
+	id := s.nextID
+	tx := &s.arrival
+	tx.InitQuery(id, now, req.Items, req.Work.Seconds(), req.Deadline.Seconds(), req.Freshness)
+	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindArrive, Query: id, Items: len(tx.Items), Deadline: tx.Deadline})
 	if s.queue.Len() >= s.cfg.MaxQueue {
 		// Overload backstop, distinct from the algorithm's admission gate.
 		s.shed++
 		s.obs.shed.Inc()
-		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: tx.ID})
+		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: id})
 		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
 		s.mu.Unlock()
-		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: tx.ID}
+		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: id}
 	}
 	// Updates apply inline, so the only work ahead of the queue is what the
 	// workers are running; the walk reads the queue in place, under s.mu.
 	if s.kern.Admission().AdmitOrdered(now, tx, s.running, s.queue.EDFQueries()) != admission.Admitted {
-		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: tx.ID})
+		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: id})
 		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
 		s.mu.Unlock()
-		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: tx.ID}
+		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: id}
 	}
-	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindAdmit, Query: tx.ID})
-	q := &liveQuery{req: req, ctx: ctx, tx: tx, done: make(chan QueryResponse, 1), enqueuedAt: s.now()}
+	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindAdmit, Query: id})
+	q := &liveQuery{tx: *tx, req: req, ctx: ctx, done: doneChans.Get().(chan QueryResponse), enqueuedAt: s.now()}
+	tx = &q.tx
 	tx.Owner = q
 	s.queue.Push(tx)
 	s.armLocked(q, s.now())
 	s.backlog += req.Work.Seconds()
-	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: tx.ID})
+	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: id})
 	s.queueGaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -500,6 +521,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	if ctx.Done() != nil {
 		select {
 		case resp := <-q.done:
+			doneChans.Put(q.done)
 			resp.Latency = time.Since(started)
 			return resp
 		case <-ctx.Done():
@@ -512,15 +534,17 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 			s.queueGaugesLocked()
 			s.canceled++
 			st := q.stagesLocked(s.now())
-			s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: tx.ID, Outcome: string(OutcomeCanceled), Stages: st})
+			s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: id, Outcome: string(OutcomeCanceled), Stages: st})
 			s.mu.Unlock()
-			return QueryResponse{Outcome: OutcomeCanceled, Latency: time.Since(started), Query: tx.ID, Stages: st}
+			doneChans.Put(q.done)
+			return QueryResponse{Outcome: OutcomeCanceled, Latency: time.Since(started), Query: id, Stages: st}
 		}
 		// A worker, the timer or Close got to it first; its verdict is
 		// coming.
 		s.mu.Unlock()
 	}
 	resp := <-q.done
+	doneChans.Put(q.done)
 	resp.Latency = time.Since(started)
 	return resp
 }
@@ -562,7 +586,7 @@ func (s *Server) expireLoop() {
 // re-arms.
 func (s *Server) expireDueLocked(now float64) {
 	if s.armedAt <= now {
-		if s.queue.Remove(s.armed.tx) {
+		if s.queue.Remove(&s.armed.tx) {
 			s.expireLocked(s.armed, now)
 		}
 		s.armed, s.armedAt = nil, math.Inf(1)
@@ -584,7 +608,7 @@ func (s *Server) expireDueLocked(now float64) {
 func (s *Server) expireLocked(q *liveQuery, now float64) {
 	s.backlog -= q.req.Work.Seconds()
 	st := q.stagesLocked(now)
-	s.finalizeLocked(q.tx, txn.OutcomeDMF, st)
+	s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
 	q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 }
 
@@ -775,9 +799,7 @@ func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageB
 	s.acct.Record(o, tx.PrefClass)
 	s.kern.OnQueryDone(tx)
 	if stages == nil {
-		// Rejected at admission: nothing accrued, mirroring the engine's
-		// all-zero breakdown for rejects.
-		stages = &trace.StageBreakdown{}
+		stages = &noStages
 	}
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: tx.ID, Outcome: o.String(), Stages: stages})
 	// Ring-append into the windowed-USM history (GET /stats?window=).
@@ -822,7 +844,7 @@ func (s *Server) worker() {
 		now := s.now()
 		if now >= q.tx.Deadline {
 			st := q.stagesLocked(now)
-			s.finalizeLocked(q.tx, txn.OutcomeDMF, st)
+			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 			continue
@@ -852,7 +874,7 @@ func (s *Server) worker() {
 			s.panicked++
 			s.obs.panicked.Inc()
 			st := q.stagesLocked(s.now())
-			s.finalizeLocked(q.tx, txn.OutcomeDMF, st)
+			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 			continue
@@ -869,7 +891,7 @@ func (s *Server) worker() {
 		}
 		st := q.stagesLocked(s.now())
 		resp.Stages = st
-		s.finalizeLocked(q.tx, outcome, st)
+		s.finalizeLocked(&q.tx, outcome, st)
 		s.mu.Unlock()
 		q.done <- resp
 	}
