@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"unitdb/internal/core"
 	"unitdb/internal/core/control"
@@ -274,10 +273,10 @@ func (o *serverObs) recordActions(a control.Action) {
 	}
 }
 
-// outcomeStamp is one finalized outcome with its wall time, feeding the
-// windowed USM of GET /stats?window=.
+// outcomeStamp is one finalized outcome with its server time (seconds
+// since start), feeding the windowed USM of GET /stats?window=.
 type outcomeStamp struct {
-	at time.Time
+	at float64
 	o  txn.Outcome
 }
 

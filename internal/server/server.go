@@ -401,13 +401,14 @@ func (s *Server) Close() {
 	s.closed = true
 	close(s.stopCh)
 	s.expiry.Stop()
+	now := s.now()
 	for tx := s.queue.Pop(); tx != nil; tx = s.queue.Pop() {
 		q := tx.Owner.(*liveQuery)
 		s.drained++
 		s.obs.drained.Inc()
 		s.backlog -= q.req.Work.Seconds()
-		st := q.stagesLocked(s.now())
-		s.finalizeLocked(&q.tx, txn.OutcomeRejected, st)
+		st := q.stagesLocked(now)
+		s.finalizeLocked(&q.tx, txn.OutcomeRejected, st, now)
 		q.done <- QueryResponse{Outcome: OutcomeRejected, Query: q.tx.ID, Stages: st}
 	}
 	s.queueGaugesLocked()
@@ -480,6 +481,8 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		s.mu.Unlock()
 		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started)}
 	}
+	// One clock read stamps the arrival and its verdict; an admitted
+	// query takes a second at enqueue, where its queue wait starts.
 	now := s.now()
 	s.nextID++
 	id := s.nextID
@@ -490,27 +493,28 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		// Overload backstop, distinct from the algorithm's admission gate.
 		s.shed++
 		s.obs.shed.Inc()
-		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: id})
-		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
+		s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindReject, Query: id})
+		s.finalizeLocked(tx, txn.OutcomeRejected, nil, now)
 		s.mu.Unlock()
 		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: id}
 	}
 	// Updates apply inline, so the only work ahead of the queue is what the
 	// workers are running; the walk reads the queue in place, under s.mu.
 	if s.kern.Admission().AdmitOrdered(now, tx, s.running, s.queue.EDFQueries()) != admission.Admitted {
-		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: id})
-		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
+		s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindReject, Query: id})
+		s.finalizeLocked(tx, txn.OutcomeRejected, nil, now)
 		s.mu.Unlock()
 		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: id}
 	}
-	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindAdmit, Query: id})
-	q := &liveQuery{tx: *tx, req: req, ctx: ctx, done: doneChans.Get().(chan QueryResponse), enqueuedAt: s.now()}
+	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindAdmit, Query: id})
+	enq := s.now()
+	q := &liveQuery{tx: *tx, req: req, ctx: ctx, done: doneChans.Get().(chan QueryResponse), enqueuedAt: enq}
 	tx = &q.tx
 	tx.Owner = q
 	s.queue.Push(tx)
-	s.armLocked(q, s.now())
+	s.armLocked(q, enq)
 	s.backlog += req.Work.Seconds()
-	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: id})
+	s.obs.rec.Record(trace.Event{T: enq, Kind: trace.KindQueue, Query: id})
 	s.queueGaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -533,8 +537,9 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 			s.backlog -= q.req.Work.Seconds()
 			s.queueGaugesLocked()
 			s.canceled++
-			st := q.stagesLocked(s.now())
-			s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: id, Outcome: string(OutcomeCanceled), Stages: st})
+			now := s.now()
+			st := q.stagesLocked(now)
+			s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindOutcome, Query: id, Outcome: string(OutcomeCanceled), Stages: st})
 			s.mu.Unlock()
 			doneChans.Put(q.done)
 			return QueryResponse{Outcome: OutcomeCanceled, Latency: time.Since(started), Query: id, Stages: st}
@@ -608,7 +613,7 @@ func (s *Server) expireDueLocked(now float64) {
 func (s *Server) expireLocked(q *liveQuery, now float64) {
 	s.backlog -= q.req.Work.Seconds()
 	st := q.stagesLocked(now)
-	s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
+	s.finalizeLocked(&q.tx, txn.OutcomeDMF, st, now)
 	q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 }
 
@@ -749,20 +754,20 @@ func (s *Server) statsLocked() Stats {
 // itself, truncated to the server's uptime and — when the ring wrapped —
 // to the oldest retained stamp.
 func (s *Server) windowCountsLocked(window time.Duration) (usm.Counts, float64) {
-	now := time.Now()
-	cutoff := now.Add(-window)
+	now := s.now()
+	cutoff := now - window.Seconds()
 	var c usm.Counts
 	for _, st := range s.winLog {
-		if st.at.After(cutoff) {
+		if st.at > cutoff {
 			c.Record(st.o)
 		}
 	}
 	covered := window.Seconds()
-	if up := now.Sub(s.start).Seconds(); up < covered {
-		covered = up
+	if now < covered {
+		covered = now
 	}
 	if len(s.winLog) == winLogCap {
-		if span := now.Sub(s.winLog[s.winNext].at).Seconds(); span < covered {
+		if span := now - s.winLog[s.winNext].at; span < covered {
 			covered = span
 		}
 	}
@@ -790,20 +795,21 @@ func (s *Server) retryAfterLocked() time.Duration {
 	return d
 }
 
-// finalizeLocked records a query's terminal outcome into the USM
-// accountant and feeds its demand to the kernel; callers hold s.mu.
+// finalizeLocked records a query's terminal outcome, resolved at server
+// time now, into the USM accountant and feeds its demand to the kernel;
+// callers hold s.mu.
 //
 //unitlint:outcome tx
-func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageBreakdown) {
+func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageBreakdown, now float64) {
 	tx.Outcome = o
 	s.acct.Record(o, tx.PrefClass)
 	s.kern.OnQueryDone(tx)
 	if stages == nil {
 		stages = &noStages
 	}
-	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: tx.ID, Outcome: o.String(), Stages: stages})
+	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindOutcome, Query: tx.ID, Outcome: o.String(), Stages: stages})
 	// Ring-append into the windowed-USM history (GET /stats?window=).
-	st := outcomeStamp{at: time.Now(), o: o}
+	st := outcomeStamp{at: now, o: o}
 	if len(s.winLog) < winLogCap {
 		s.winLog = append(s.winLog, st)
 	} else {
@@ -830,21 +836,21 @@ func (s *Server) worker() {
 		q := s.queue.Pop().Owner.(*liveQuery)
 		s.backlog -= q.req.Work.Seconds()
 		s.queueGaugesLocked()
+		now := s.now()
 		if q.ctx != nil && q.ctx.Err() != nil {
 			// Client already gone: a canceled query never occupies the
 			// worker and never enters the USM.
 			s.canceled++
-			st := q.stagesLocked(s.now())
-			s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindOutcome, Query: q.tx.ID, Outcome: string(OutcomeCanceled), Stages: st})
+			st := q.stagesLocked(now)
+			s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindOutcome, Query: q.tx.ID, Outcome: string(OutcomeCanceled), Stages: st})
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeCanceled, Query: q.tx.ID, Stages: st}
 			//unitlint:ignore outcomeonce -- canceled queries bypass the USM by design: the user is gone, so q.tx stays unresolved and only s.canceled tallies it
 			continue
 		}
-		now := s.now()
 		if now >= q.tx.Deadline {
 			st := q.stagesLocked(now)
-			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
+			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st, now)
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 			continue
@@ -866,6 +872,7 @@ func (s *Server) worker() {
 
 		s.mu.Lock()
 		s.running -= q.req.Work.Seconds()
+		now = s.now()
 		if !completed {
 			// The query's computation panicked. The user's deadline is as
 			// missed as if the work had timed out, so it records as DMF —
@@ -873,8 +880,8 @@ func (s *Server) worker() {
 			// pool never shrinks.
 			s.panicked++
 			s.obs.panicked.Inc()
-			st := q.stagesLocked(s.now())
-			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st)
+			st := q.stagesLocked(now)
+			s.finalizeLocked(&q.tx, txn.OutcomeDMF, st, now)
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID, Stages: st}
 			continue
@@ -882,16 +889,16 @@ func (s *Server) worker() {
 		outcome := txn.OutcomeSuccess
 		resp := QueryResponse{Outcome: OutcomeSuccess, Values: values, Freshness: fresh, Query: q.tx.ID}
 		switch {
-		case s.now() >= q.tx.Deadline:
+		case now >= q.tx.Deadline:
 			outcome = txn.OutcomeDMF
 			resp = QueryResponse{Outcome: OutcomeDMF, Query: q.tx.ID}
 		case fresh < q.req.Freshness:
 			outcome = txn.OutcomeDSF
 			resp.Outcome = OutcomeDSF
 		}
-		st := q.stagesLocked(s.now())
+		st := q.stagesLocked(now)
 		resp.Stages = st
-		s.finalizeLocked(&q.tx, outcome, st)
+		s.finalizeLocked(&q.tx, outcome, st, now)
 		s.mu.Unlock()
 		q.done <- resp
 	}
