@@ -137,14 +137,19 @@ profile-sim:
 # simulator's, with the server test binary for symbols, and a CPU
 # profile of the admission walk the server runs under its lock
 # (BenchmarkAdmitOrdered: profiles/admit-cpu.pprof, binary
-# profiles/admission.test). Read them with
-# `go tool pprof -top profiles/server.test profiles/live-cpu.pprof`.
+# profiles/admission.test), and allocation and mutex-contention profiles
+# of the direct query path at overload-open's shape
+# (BenchmarkQueryOverload: profiles/overload-{mem,mutex}.pprof). Read
+# them with `go tool pprof -top profiles/server.test profiles/live-cpu.pprof`.
 profile-live:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPMix$$' -benchtime 3s \
 	  -cpuprofile profiles/live-cpu.pprof -memprofile profiles/live-mem.pprof -o profiles/server.test ./internal/server/
 	$(GO) test -run '^$$' -bench '^BenchmarkAdmitOrdered$$' -benchtime 0.5s \
 	  -cpuprofile profiles/admit-cpu.pprof -o profiles/admission.test ./internal/core/admission/
+	$(GO) test -run '^$$' -bench '^BenchmarkQueryOverload$$' -benchtime 8000x \
+	  -memprofile profiles/overload-mem.pprof -mutexprofile profiles/overload-mutex.pprof \
+	  -o profiles/server.test ./internal/server/
 
 # Replication pin: the QuickConfig experiment suite must reproduce the
 # checked-in golden JSON byte-for-byte, sequentially and in parallel,
