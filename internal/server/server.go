@@ -557,7 +557,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 // armLocked points the deadline timer at q, due at its deadline, unless
 // the timer is already armed for an earlier one. Every push calls it, so
 // the timer is always armed for the EDF head or earlier (a head popped by
-// a worker leaves it early, and expireDue re-arms).
+// a worker leaves it early, and expireDueLocked re-arms).
 func (s *Server) armLocked(q *liveQuery, now float64) {
 	if q.tx.Deadline >= s.armedAt {
 		return
