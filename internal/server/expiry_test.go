@@ -121,28 +121,8 @@ func TestEarlierArrivalRearmsTimer(t *testing.T) {
 // goroutine behind, the timer's included.
 func TestCloseStopsDeadlineTimer(t *testing.T) {
 	before := runtime.NumGoroutine()
-	gate := make(chan struct{})
-	cfg := DefaultConfig()
-	cfg.NumItems = 16
-	cfg.Workers = 1
-	cfg.QueryWork = func(req QueryRequest) {
-		if req.Items[0] == 0 {
-			<-gate
-		}
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(chan QueryResponse, 4)
-	go func() {
-		results <- s.Query(QueryRequest{Items: []int{0}, Deadline: time.Minute, Work: time.Millisecond})
-	}()
-	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.running > 0
-	})
+	s, release := newBlockedServer(t)
+	results := make(chan QueryResponse, 3)
 	for i := 1; i <= 3; i++ {
 		go func(item int) {
 			results <- s.Query(QueryRequest{Items: []int{item}, Deadline: time.Minute, Work: time.Millisecond})
@@ -156,15 +136,13 @@ func TestCloseStopsDeadlineTimer(t *testing.T) {
 
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		close(gate)
+		release() // the blocker finishes while Close waits for its worker
 	}()
 	s.Close()
-	got := map[Outcome]int{}
-	for i := 0; i < 4; i++ {
-		got[(<-results).Outcome]++
-	}
-	if got[OutcomeSuccess] != 1 || got[OutcomeRejected] != 3 {
-		t.Fatalf("outcomes = %v, want 1 success + 3 drained rejections", got)
+	for i := 0; i < 3; i++ {
+		if r := <-results; r.Outcome != OutcomeRejected {
+			t.Fatalf("queued query outcome = %s, want a drained %s", r.Outcome, OutcomeRejected)
+		}
 	}
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
