@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim profile-live golden replay-digest loc ci
+.PHONY: all build test shard-matrix race lint vet unitlint lint-baseline chaos scenarios fuzz obs-smoke bench-e2e-smoke profile-sim profile-live golden replay-digest mutants loc ci
 
 all: build
 
@@ -28,19 +28,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# unitlint enforces the determinism/concurrency invariants with six
-# analyzers — detclock, seededrand, usmrange and the flow-sensitive
-# locksafe, guardedflow, outcomeonce; see cmd/unitlint -help.
-# Findings stream to lint.json (the CI artifact) with a per-analyzer
-# timings trailer; anything not in lint.baseline — or recorded there
-# but stale, under -strict-baseline — fails the run.
+# unitlint enforces the determinism invariants with three syntactic
+# analyzers: detclock, seededrand and usmrange (see cmd/unitlint -help).
+# Lock discipline and exactly-one-outcome have no analyzer: the tests,
+# run plain and under -race, kill their mutants (make mutants).
+# Findings stream to lint.json (the CI artifact); anything not in
+# lint.baseline, or recorded there but stale under -strict-baseline,
+# fails the run. ./... covers internal/lint and cmd/unitlint too.
 unitlint:
-	$(GO) run ./cmd/unitlint -json -timings -strict-baseline ./... > lint.json; code=$$?; cat lint.json; exit $$code
-
-# Dogfood: the analyzers' own CFG/dataflow code holds locks and ranges
-# maps too. Same gates, scoped to internal/lint and the command.
-unitlint-self:
-	$(GO) run ./cmd/unitlint -strict-baseline ./internal/lint/... ./cmd/unitlint
+	$(GO) run ./cmd/unitlint -json -strict-baseline ./... > lint.json; code=$$?; cat lint.json; exit $$code
 
 # Re-record the tolerated-findings baseline. An empty lint.baseline is
 # the healthy state: new findings should be fixed, not baselined.
@@ -53,7 +49,7 @@ lint-baseline:
 	$(GO) run ./cmd/unitlint -json -baseline - ./... >> lint.baseline; \
 	$(GO) run ./cmd/unitlint ./...
 
-lint: vet unitlint unitlint-self
+lint: vet unitlint
 
 # Chaos regression, under -race: seeded fault injection against the
 # simulator (replay and exactly-once in internal/faults, the recovery law
@@ -179,6 +175,13 @@ replay-digest:
 	  ./unitscenario run -seed 1 -shards $$n -trace $$c.jsonl $$sc > $$c.json || exit 1; \
 	done; done; \
 	sha256sum sim-* scenario-*
+
+# Mutant catalogue: every record in testdata/mutants.txt is applied
+# through go test -overlay (the tree is never edited) and must be killed
+# by the test it names; a survivor, or a record whose original text is
+# gone, fails the target. MUTANTS=<regexp> runs only matching ids.
+mutants:
+	bash scripts/mutants.sh testdata/mutants.txt
 
 # Size of the root module: non-blank Go lines of tracked files outside
 # bench/ (a module of its own), split into non-test and test.

@@ -1,7 +1,7 @@
-// Command unitlint checks UNIT's determinism and concurrency invariants:
+// Command unitlint checks UNIT's determinism invariants:
 //
-//	unitlint [-only locksafe,outcomeonce] [-json] [-baseline file]
-//	         [-strict-baseline] [-timings] [packages]
+//	unitlint [-only detclock,seededrand] [-json] [-baseline file]
+//	         [-strict-baseline] [packages]
 //
 // Patterns default to ./... and follow go-tool shape (./internal/...,
 // ./cmd/unitsim). Exit status is 0 when clean, 1 on findings, 2 on usage
@@ -14,16 +14,8 @@
 // and every stale entry is listed with its file and analyzer — a warning
 // by default, exit status 1 under -strict-baseline (what `make ci` uses,
 // so fixed findings force a baseline regeneration). Regenerate with
-// `make lint-baseline`. -timings appends per-analyzer wall time (a
-// {"timings_ms":{...}} JSON line under -json).
-//
-// Suppress a deliberate violation with a scoped, reasoned inline comment
-// on (or directly above) the line:
-//
-//	//unitlint:ignore <analyzer> -- <reason>
-//
-// Bare or unreasoned ignores suppress nothing and are findings
-// themselves (analyzer "ignore").
+// `make lint-baseline`; the baseline is the only way to tolerate a
+// finding.
 //
 // Run `unitlint -help` for the analyzer list.
 package main
@@ -43,7 +35,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON lines")
 	baseline := flag.String("baseline", "", "baseline file of tolerated findings (default lint.baseline when present; - disables)")
 	strictBaseline := flag.Bool("strict-baseline", false, "exit nonzero when the baseline holds stale entries")
-	timings := flag.Bool("timings", false, "report per-analyzer wall time")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: unitlint [flags] [packages]\n\nAnalyzers:\n")
 		printAnalyzers(flag.CommandLine.Output())
@@ -61,8 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	opts := unitlint.Options{JSON: *jsonOut, Baseline: *baseline,
-		StrictBaseline: *strictBaseline, Timings: *timings}
+	opts := unitlint.Options{JSON: *jsonOut, Baseline: *baseline, StrictBaseline: *strictBaseline}
 	os.Exit(unitlint.Main(os.Stdout, dir, *only, opts, flag.Args()))
 }
 

@@ -150,13 +150,12 @@ func NewConfig(w *workload.Workload, weights usm.Weights, seed uint64) Config {
 //
 // Concurrency: an Engine is single-goroutine by design — every field is
 // owned by the event loop inside Run, so there is deliberately no mutex
-// and no "guarded by" annotations here (locksafe and guardedflow have
-// nothing to check). None of the fields may be touched from a spawned
-// goroutine or an HTTP handler; the engine tests under
-// `go test -race ./internal/engine` (TestDeterminism and
+// and no "guarded by" annotations here. None of the fields may be
+// touched from a spawned goroutine or an HTTP handler; the engine tests
+// under `go test -race ./internal/engine` (TestDeterminism and
 // TestHPAbortAndRestart among them) report a DATA RACE if one is, and
-// determinism_test pins the absence of shared-state effects by
-// replaying runs bit-for-bit. The live counterpart with real goroutines
+// determinism_test pins the absence of shared-state effects by replaying
+// runs bit-for-bit. The live counterpart with real goroutines
 // is internal/server, where the same lifecycle runs under Server.mu.
 type Engine struct {
 	cfg    Config
@@ -434,8 +433,6 @@ func (e *Engine) queryArrival() {
 // The deadline anchors at presentation (the system clocks a query from
 // when it first sees it); a CPU slowdown inflates the actual demand while
 // the optimizer's estimate stays nominal.
-//
-//unitlint:outcome q
 func (e *Engine) presentQuery(spec workload.QuerySpec) {
 	e.nextID++
 	exec := spec.Exec
@@ -635,8 +632,6 @@ func (e *Engine) restartAbortedUpdate(u *txn.Txn) {
 
 // resolveAbortedQuery restarts an aborted query while its deadline is
 // still reachable, and finalizes it DMF when it is not.
-//
-//unitlint:outcome v
 func (e *Engine) resolveAbortedQuery(v *txn.Txn) {
 	if e.sim.Now()+v.Exec >= v.Deadline {
 		// It cannot finish even if it restarts immediately.
@@ -740,8 +735,6 @@ func (e *Engine) completeUpdate(u *txn.Txn) {
 // completeQuery commits a finished query: the freshness of what it read
 // (sampled at the start of its last attempt) against its requirement
 // (Eq. 1) decides success vs DSF.
-//
-//unitlint:outcome q
 func (e *Engine) completeQuery(q *txn.Txn) {
 	fresh := q.ReadFreshness
 	for _, item := range q.Items {
@@ -802,8 +795,6 @@ func (e *Engine) disarmDeadline(q *txn.Txn) bool {
 // queued, or lock-blocked. Resolving or abandoning a query disarms its
 // timer, so a timer never fires for a resolved query; one that did would
 // already be back in the pool, possibly armed for another query.
-//
-//unitlint:outcome q
 func (e *Engine) queryDeadline(q *txn.Txn) {
 	if q.Outcome != txn.OutcomePending {
 		panic(fmt.Sprintf("engine: deadline fired for resolved %v", q))
@@ -848,8 +839,6 @@ func (e *Engine) abandonQuery(q *txn.Txn) {
 // finalizeQuery records a query's terminal outcome — the single point
 // where the USM conservation law (every admitted query ends in exactly
 // one of success/rejected/DMF/DSF) is enforced at run time.
-//
-//unitlint:outcome q
 func (e *Engine) finalizeQuery(q *txn.Txn, o txn.Outcome) {
 	if q.Outcome != txn.OutcomePending {
 		panic(fmt.Sprintf("engine: double finalize of %v", q))

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"unitdb/internal/core/usm"
+	"unitdb/internal/obs/trace"
 	"unitdb/internal/txn"
 	"unitdb/internal/workload"
 )
@@ -143,6 +144,39 @@ func TestHPAbortAndRestart(t *testing.T) {
 	if r.Counts.Success != 1 {
 		t.Fatalf("restarted query should still succeed: %+v", r.Counts)
 	}
+}
+
+// TestDoomedAbortResolvesAtOnce: a query aborted by 2PL-HP that could
+// not finish even if restarted at once is resolved as a deadline miss at
+// the abort instant, not left pending until its deadline timer fires.
+func TestDoomedAbortResolvesAtOnce(t *testing.T) {
+	w := mkWorkload(1, 50,
+		[]workload.QuerySpec{q(2.5, 0, 2, 3)}, // runs from 2.5, deadline 5.5
+		[]workload.UpdateSpec{{Item: 0, Period: 4, Exec: 1}},
+	)
+	cfg := NewConfig(w, usm.Weights{}, 7)
+	cfg.PhaseUpdates = false
+	cfg.Trace = trace.New(1024, 16)
+	e, err := New(cfg, admitAll{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.HPAborts != 1 || r.Restarts != 0 || r.Counts.DMF != 1 {
+		t.Fatalf("aborts %d, restarts %d, counts %+v; want 1 abort, no restart, 1 DMF", r.HPAborts, r.Restarts, r.Counts)
+	}
+	for _, ev := range cfg.Trace.Events(0) {
+		if ev.Kind == trace.KindOutcome {
+			if ev.T != 4 {
+				t.Fatalf("the doomed query resolved at %v, want the abort instant 4", ev.T)
+			}
+			return
+		}
+	}
+	t.Fatal("no outcome event for the query")
 }
 
 func TestIMUAlwaysFresh(t *testing.T) {

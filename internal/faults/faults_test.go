@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"unitdb/internal/engine"
@@ -267,5 +268,45 @@ func TestNilScheduleInjectsNothing(t *testing.T) {
 	}
 	if c := in.Counts(); c != (faults.Counts{}) {
 		t.Fatalf("counts %+v, want zero", c)
+	}
+}
+
+// TestInjectorCountsConcurrent: the tally may be read while a run drives
+// the hooks from other goroutines, as the Injector doc promises. Every
+// counting hook and a Counts reader run at once. Under -race a tally
+// touched outside mu is a DATA RACE, and the final tally must count every
+// call. (A lock left held deadlocks the hooks; this package is wall-clock
+// free, so that shows as go test's -timeout.)
+func TestInjectorCountsConcurrent(t *testing.T) {
+	in := faults.NewInjector(faults.MustSchedule(
+		faults.FeedOutage(0, 10),
+		faults.CPUSlowdown(0, 10, 2),
+		faults.ArrivalStall(0, 10),
+		faults.SlowConsumer(0, 10, 2),
+		faults.ClientDisconnect(0, 10, 1),
+	))
+	const calls = 20000
+	hooks := []func(){
+		func() { in.BlockFeed(0, 1) },
+		func() { in.ScaleExec(1) },
+		func() { in.ReleaseQuery(1) },
+		func() { in.ScaleQueryExec(1) },
+		func() { in.DisconnectAfter(1) },
+		func() { in.Counts() },
+	}
+	var wg sync.WaitGroup
+	for _, hook := range hooks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				hook()
+			}
+		}()
+	}
+	wg.Wait()
+	want := faults.Counts{UpdatesBlocked: calls, QueriesStalled: calls, ExecInflations: calls, QueryInflations: calls, Disconnects: calls}
+	if got := in.Counts(); got != want {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
 	}
 }

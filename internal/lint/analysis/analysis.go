@@ -8,8 +8,7 @@
 //
 // The deliberate difference from x/tools: passes are purely syntactic.
 // There is no types.Info and no Facts store — every unitlint invariant
-// (wall-clock calls, global math/rand, guarded-field conventions, literal
-// ranges) is checkable from the AST plus per-file import tables, and
+// (wall-clock calls, global math/rand, literal ranges) is checkable from the AST plus per-file import tables, and
 // staying type-free keeps the loader trivial and fast.
 package analysis
 
@@ -23,8 +22,8 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //unitlint:ignore comments. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and in -only lists.
+	// It must be a valid identifier.
 	Name string
 	// Doc is the help text: first line is the summary.
 	Doc string
@@ -84,11 +83,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Position resolves pos against the package's file set.
-func (p *Pass) Position(pos token.Pos) token.Position {
-	return p.Pkg.Fset.Position(pos)
-}
-
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Pkg.Fset.Position(pos).Filename, "_test.go")
@@ -118,114 +112,4 @@ func ImportNames(file *ast.File, path string) []string {
 		}
 	}
 	return names
-}
-
-// FileFor returns the *ast.File of pkg containing pos, or nil.
-func FileFor(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// Suppressed reports whether a diagnostic is silenced by a scoped inline
-// comment on the same line or the line immediately above:
-//
-//	//unitlint:ignore <analyzer>[,<analyzer>] -- <reason>
-//
-// Both the analyzer list and the reason are mandatory. A bare or
-// unreasoned ignore suppresses nothing — and BadIgnores turns it into a
-// finding of its own — so every escape hatch in the tree names what it
-// silences and says why.
-func Suppressed(pkg *Package, d Diagnostic) bool {
-	for _, f := range pkg.Files {
-		if pkg.Fset.Position(f.FileStart).Filename != d.Pos.Filename {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				ig, ok := parseIgnore(c.Text)
-				if !ok || ig.reason == "" {
-					continue
-				}
-				line := pkg.Fset.Position(c.Pos()).Line
-				if line != d.Pos.Line && line != d.Pos.Line-1 {
-					continue
-				}
-				for _, n := range ig.names {
-					if n == d.Analyzer {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// ignoreComment is one parsed //unitlint:ignore comment; validation is
-// the caller's job.
-type ignoreComment struct {
-	names  []string // analyzers being silenced
-	reason string   // text after " -- "
-}
-
-// parseIgnore recognizes //unitlint:ignore comments. ok is false for
-// unrelated comments (including other unitlint: directives).
-func parseIgnore(text string) (ignoreComment, bool) {
-	rest, found := strings.CutPrefix(text, "//unitlint:ignore")
-	if !found || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-		return ignoreComment{}, false
-	}
-	namesPart, reason, _ := strings.Cut(rest, "--")
-	var ig ignoreComment
-	ig.reason = strings.TrimSpace(reason)
-	for _, n := range strings.Split(namesPart, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			ig.names = append(ig.names, n)
-		}
-	}
-	return ig, true
-}
-
-// BadIgnores audits every //unitlint:ignore comment in the package and
-// returns a diagnostic (analyzer name "ignore") for each malformed one:
-// missing the analyzer list, missing the "-- reason" tail, or naming an
-// analyzer that does not exist (known is the registry; nil skips that
-// check). Malformed ignores suppress nothing, so a typo would silently
-// re-enable a finding — this audit makes the mistake loud instead.
-func BadIgnores(pkg *Package, known map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	report := func(c *ast.Comment, format string, args ...any) {
-		out = append(out, Diagnostic{
-			Analyzer: "ignore",
-			Pos:      pkg.Fset.Position(c.Pos()),
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				ig, ok := parseIgnore(c.Text)
-				if !ok {
-					continue
-				}
-				switch {
-				case len(ig.names) == 0:
-					report(c, "ignore comment suppresses nothing: write //unitlint:ignore <analyzer> -- <reason>")
-				case ig.reason == "":
-					report(c, "ignore comment has no reason and suppresses nothing: append \" -- <why this violation is deliberate>\"")
-				default:
-					for _, n := range ig.names {
-						if known != nil && !known[n] {
-							report(c, "ignore comment names unknown analyzer %q", n)
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }

@@ -38,7 +38,3 @@ func legal(sec float64) time.Duration {
 type clock struct{}
 
 func (clock) Unix() int64 { return 0 }
-
-func suppressed() {
-	_ = time.Now() //unitlint:ignore detclock -- fixture: pins that a scoped, reasoned ignore suppresses
-}

@@ -17,7 +17,3 @@ func draws(n int) []float64 {
 	rand.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] }) // want `global rand\.Shuffle is not seed-reproducible`
 	return out
 }
-
-func suppressed() int {
-	return rand.Int() //unitlint:ignore seededrand -- fixture: pins that a scoped, reasoned ignore suppresses
-}

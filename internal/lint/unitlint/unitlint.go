@@ -1,15 +1,7 @@
-// Package unitlint is the multichecker driving UNIT's six invariant
-// analyzers. Three are syntactic: detclock (no wall clock in the
-// simulator core), seededrand (no global math/rand anywhere), and
-// usmrange (literal freshness and penalty weights stay in the paper's
-// domains). Three are flow-sensitive, built on internal/lint/cfg and
-// internal/lint/dataflow: locksafe (every mutex acquired is released on
-// all paths, no double lock/unlock), guardedflow ('// guarded by mu'
-// field accesses happen where the mutex is provably held), and
-// outcomeonce (every path records exactly one terminal transaction
-// outcome). The driver also audits //unitlint:ignore comments (analyzer
-// name "ignore"): scoped, reasoned ignores suppress; malformed ones are
-// findings.
+// Package unitlint is the multichecker driving UNIT's three invariant
+// analyzers, all syntactic: detclock (no wall clock in the simulator
+// core), seededrand (no global math/rand anywhere), and usmrange
+// (literal freshness and penalty weights stay in the paper's domains).
 //
 // cmd/unitlint is a thin main around Main; tests drive Run directly.
 // Findings can stream as JSON lines (one object per finding) and be
@@ -22,19 +14,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"unitdb/internal/lint/analysis"
 	"unitdb/internal/lint/detclock"
-	"unitdb/internal/lint/guardedflow"
 	"unitdb/internal/lint/loader"
-	"unitdb/internal/lint/locksafe"
-	"unitdb/internal/lint/outcomeonce"
 	"unitdb/internal/lint/seededrand"
 	"unitdb/internal/lint/usmrange"
 )
@@ -44,9 +31,6 @@ var Analyzers = []*analysis.Analyzer{
 	detclock.Analyzer,
 	seededrand.Analyzer,
 	usmrange.Analyzer,
-	locksafe.Analyzer,
-	guardedflow.Analyzer,
-	outcomeonce.Analyzer,
 }
 
 // Select returns the analyzers named in the comma-separated list, or the
@@ -71,47 +55,22 @@ func Select(only string) ([]*analysis.Analyzer, error) {
 }
 
 // Run loads the packages matched by patterns under dir and applies the
-// analyzers, returning the surviving (non-suppressed) diagnostics plus
-// the ignore-comment audit, sorted by (file, line, analyzer, message)
-// so output diffs cleanly run-to-run. Filenames are reported relative
-// to dir so output and baselines are machine-independent.
+// analyzers, returning their diagnostics sorted by (file, line, analyzer,
+// message) so output diffs cleanly run-to-run. Filenames are reported
+// relative to dir so output and baselines are machine-independent.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	diags, _, err := RunTimed(dir, patterns, analyzers)
-	return diags, err
-}
-
-// RunTimed is Run plus per-analyzer wall time, summed across packages.
-func RunTimed(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, map[string]time.Duration, error) {
 	pkgs, err := loader.Load(dir, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	known := map[string]bool{}
-	for _, a := range Analyzers {
-		known[a.Name] = true
-	}
-	timings := map[string]time.Duration{}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			var out []analysis.Diagnostic
-			pass := analysis.NewPass(a, pkg, &out)
-			start := time.Now()
-			runErr := a.Run(pass)
-			timings[a.Name] += time.Since(start)
-			if runErr != nil {
-				return nil, nil, fmt.Errorf("unitlint: %s on %s: %w", a.Name, pkg.Path, runErr)
-			}
-			for _, d := range out {
-				if !analysis.Suppressed(pkg, d) {
-					diags = append(diags, d)
-				}
+			if err := a.Run(analysis.NewPass(a, pkg, &diags)); err != nil {
+				return nil, fmt.Errorf("unitlint: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		diags = append(diags, analysis.BadIgnores(pkg, known)...)
 	}
-	// Relativize after suppression: Suppressed matches the absolute
-	// filenames the loader put in the file set.
 	for i := range diags {
 		if rel, err := filepath.Rel(dir, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
@@ -133,7 +92,7 @@ func RunTimed(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]
 		}
 		return a.Pos.Column < b.Pos.Column
 	})
-	return diags, timings, nil
+	return diags, nil
 }
 
 // Finding is the JSON-line form of one diagnostic — both the -json
@@ -199,9 +158,6 @@ type Options struct {
 	// stale entries, instead of only warning — CI uses it so a fixed
 	// finding forces the baseline to be regenerated.
 	StrictBaseline bool
-	// Timings appends per-analyzer wall time to the output: a JSON line
-	// {"timings_ms":{...}} in JSON mode, a readable table otherwise.
-	Timings bool
 }
 
 // Main runs the suite for a command line: it prints diagnostics to w and
@@ -217,7 +173,7 @@ func Main(w io.Writer, dir, only string, opts Options, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, timings, err := RunTimed(dir, patterns, analyzers)
+	diags, err := Run(dir, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintln(w, err)
 		return 2
@@ -275,12 +231,6 @@ func Main(w io.Writer, dir, only string, opts Options, patterns []string) int {
 	if stale > 0 {
 		fmt.Fprintf(w, "unitlint: %d stale baseline entr(ies); regenerate with `make lint-baseline`\n", stale)
 	}
-	if opts.Timings {
-		if err := writeTimings(w, opts.JSON, analyzers, timings); err != nil {
-			fmt.Fprintln(w, err)
-			return 2
-		}
-	}
 	if len(fresh) > 0 {
 		if !opts.JSON {
 			fmt.Fprintf(w, "unitlint: %d finding(s)\n", len(fresh))
@@ -291,22 +241,6 @@ func Main(w io.Writer, dir, only string, opts Options, patterns []string) int {
 		return 1
 	}
 	return 0
-}
-
-// writeTimings emits per-analyzer wall time: one {"timings_ms":{...}}
-// JSON line (milliseconds, 3 decimals) or a readable table.
-func writeTimings(w io.Writer, jsonOut bool, analyzers []*analysis.Analyzer, timings map[string]time.Duration) error {
-	if jsonOut {
-		ms := make(map[string]float64, len(timings))
-		for name, d := range timings {
-			ms[name] = math.Round(float64(d.Microseconds())/1000*1000) / 1000
-		}
-		return json.NewEncoder(w).Encode(map[string]map[string]float64{"timings_ms": ms})
-	}
-	for _, a := range analyzers {
-		fmt.Fprintf(w, "unitlint: timing: %-12s %s\n", a.Name, timings[a.Name].Round(time.Microsecond))
-	}
-	return nil
 }
 
 func sortedKeys(m map[string]int) []string {

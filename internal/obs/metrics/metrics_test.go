@@ -191,3 +191,57 @@ func TestConcurrentHotPath(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// TestConcurrentRegistration: families registered from many goroutines,
+// some new and some shared, while a scraper snapshots, all land exactly
+// once. Under -race a read of the family table outside mu is a DATA RACE
+// (and a plain run may die of a concurrent map access).
+func TestConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const workers, perWorker = 4, 200
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r.Counter(fmt.Sprintf("unit_w%d_%d_total", w, i), "").Inc()
+				r.Gauge("unit_shared_gauge", "", Label{Key: "w", Value: fmt.Sprint(w)}).Set(1)
+				r.Histogram("unit_shared_hist", "", 0, 1, 4).Observe(0.5)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	scraper.Wait()
+	fams := r.Snapshot()
+	if want := workers*perWorker + 2; len(fams) != want {
+		t.Fatalf("%d families, want %d", len(fams), want)
+	}
+	for _, f := range fams {
+		switch f.Name {
+		case "unit_shared_gauge":
+			if len(f.Series) != workers {
+				t.Fatalf("shared gauge has %d series, want %d", len(f.Series), workers)
+			}
+		case "unit_shared_hist":
+			if got := f.Series[0].Hist.Count; got != workers*perWorker {
+				t.Fatalf("shared histogram count = %d, want %d", got, workers*perWorker)
+			}
+		}
+	}
+}

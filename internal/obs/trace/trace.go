@@ -132,8 +132,8 @@ const (
 // It is safe for concurrent use; the engine drives it from a single
 // goroutine, the live server from many. Because callers differ in
 // goroutine structure, the rings are guarded by mu rather than owned by
-// one goroutine — ownership here belongs to whoever holds the lock,
-// which the locksafe/guardedflow analyzers verify.
+// one goroutine — ownership here belongs to whoever holds the lock, and
+// the trace tests under `go test -race` check it.
 type Recorder struct {
 	mu        sync.Mutex
 	seq       uint64     // guarded by mu; shared by events and decisions

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -127,26 +128,117 @@ func TestStageBreakdownSum(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecording: events and decisions recorded from many
+// goroutines, while readers poll every accessor, keep strictly
+// increasing sequence numbers and exact drop counts. Under -race a ring
+// or counter touched outside mu is a DATA RACE.
 func TestConcurrentRecording(t *testing.T) {
 	r := New(128, 32)
+	const writers, events, decisionEvery = 8, 2000, 2
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
+			for i := 0; i < events; i++ {
 				r.Record(Event{T: float64(i), Kind: KindQueue, Query: int64(w)})
+				if i%decisionEvery == 0 {
+					r.RecordDecision(Decision{T: float64(i), Action: "LAC"})
+				}
 			}
 		}(w)
 	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(2)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Dropped()
+		}
+	}()
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Events(4)
+			r.Dropped()
+			r.Decisions(4)
+			r.Dropped()
+			r.EventsFor(1)
+			if err := r.WriteJSONL(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
 	wg.Wait()
-	evs := r.Events(0)
-	if len(evs) != 128 {
-		t.Fatalf("ring holds %d, want 128", len(evs))
+	close(stop)
+	reader.Wait()
+
+	evs, decs := r.Events(0), r.Decisions(0)
+	if len(evs) != 128 || len(decs) != 32 {
+		t.Fatalf("rings hold %d events and %d decisions, want 128 and 32", len(evs), len(decs))
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("sequence not strictly increasing at %d", i)
+			t.Fatalf("event sequence not strictly increasing at %d", i)
 		}
+	}
+	for i := 1; i < len(decs); i++ {
+		if decs[i].Seq <= decs[i-1].Seq {
+			t.Fatalf("decision sequence not strictly increasing at %d", i)
+		}
+	}
+	evDropped, decDropped := r.Dropped()
+	if want := uint64(writers*events - 128); evDropped != want {
+		t.Fatalf("events dropped = %d, want %d", evDropped, want)
+	}
+	if want := uint64(writers*events/decisionEvery - 32); decDropped != want {
+		t.Fatalf("decisions dropped = %d, want %d", decDropped, want)
+	}
+}
+
+// TestMergeOrdersAndLeavesSources: Merge interleaves the sources by
+// timestamp, breaks ties by source index, stamps each record with its
+// 1-based shard, and leaves the sources readable, so merging the same
+// sources twice gives the same stream.
+func TestMergeOrdersAndLeavesSources(t *testing.T) {
+	a, b := New(8, 8), New(8, 8)
+	a.Record(Event{T: 1, Kind: KindArrive, Query: 1})
+	b.Record(Event{T: 1, Kind: KindArrive, Query: 2})
+	b.RecordDecision(Decision{T: 2, Action: "LAC"})
+	a.Record(Event{T: 3, Kind: KindOutcome, Query: 1, Outcome: "success"})
+
+	merged := func() string {
+		dst := New(8, 8)
+		Merge(dst, a, nil, b)
+		var buf bytes.Buffer
+		if err := dst.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := merged()
+	lines := strings.Split(strings.TrimSpace(first), "\n")
+	want := []string{`"query":1,"shard":1`, `"query":2,"shard":3`, `"action":"LAC"`, `"outcome":"success"`}
+	if len(lines) != len(want) {
+		t.Fatalf("merged %d records, want %d:\n%s", len(lines), len(want), first)
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) {
+			t.Fatalf("record %d = %s, want it to contain %s", i, lines[i], w)
+		}
+	}
+	if second := merged(); second != first {
+		t.Fatalf("second merge of the same sources differs:\n%s\nvs\n%s", second, first)
 	}
 }

@@ -175,7 +175,6 @@ func Analyze(r io.Reader, topN int) (*Report, error) {
 		case trace.KindBlock:
 			rec.Blocks++
 		case trace.KindOutcome:
-			//unitlint:ignore outcomeonce -- offline report assembly: this copies an already-recorded outcome string out of a trace dump, it does not resolve a live transaction
 			rec.Outcome = ev.Outcome
 			rec.OutcomeT = ev.T
 			rec.Stages = ev.Stages

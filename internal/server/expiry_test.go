@@ -12,20 +12,26 @@ import (
 const expiryMargin = 50 * time.Millisecond
 
 // newBlockedServer returns a one-worker server whose worker is held by a
-// blocker query until release is called. Items other than 0 run no work.
-func newBlockedServer(t *testing.T) (s *Server, release func()) {
+// blocker query until release is called; release also runs at cleanup,
+// before the server's Close, so a test that fails early never leaves
+// Close waiting on the worker. Items other than 0 run the QueryWork that
+// mutate sets, or none.
+func newBlockedServer(t *testing.T, mutate ...func(*Config)) (s *Server, release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	s = newTestServer(t, func(cfg *Config) {
+	s = newTestServer(t, append(mutate, func(cfg *Config) {
 		cfg.Workers = 1
+		work := cfg.QueryWork
 		cfg.QueryWork = func(req QueryRequest) {
 			// Item 0 is the blocker; its nominal Work stays tiny so
 			// admission keeps admitting behind it.
 			if req.Items[0] == 0 {
 				<-gate
+			} else if work != nil {
+				work(req)
 			}
 		}
-	})
+	})...)
 	var blocker sync.WaitGroup
 	blocker.Add(1)
 	go func() {

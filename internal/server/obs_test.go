@@ -185,15 +185,10 @@ func TestDebugEndpoints(t *testing.T) {
 // once and build the snapshot with statsLocked. A call to Stats (or any
 // other s.mu acquirer) while s.mu is held blocks forever on the
 // non-reentrant mutex, so the calls run on a goroutine under a deadline.
-// s is closed only after they return: Close takes s.mu too, so a
-// t.Cleanup(s.Close) would hang the same way.
+// Close takes s.mu too; newTestServer's cleanup runs it under a deadline
+// of its own, so a lock left held fails there as well instead of hanging.
 func TestStatsCallsReturnPromptly(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumItems = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -203,7 +198,6 @@ func TestStatsCallsReturnPromptly(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		s.Close()
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stats/StatsWindow did not return within 5s: a call re-acquires s.mu while holding it (use statsLocked under the lock)")
 	}

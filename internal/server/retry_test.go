@@ -266,3 +266,45 @@ func TestClientDecodesRetryAfterHeader(t *testing.T) {
 		t.Fatalf("hint = %v err = %v, want 3s", hint, err)
 	}
 }
+
+// TestClientConcurrentBackoff: one Client with WithRetry is shared by
+// many goroutines. Their backoff draws come from the policy's one seeded
+// RNG, which its mutex serializes: under -race a draw outside the lock is
+// a DATA RACE, and a lock left held deadlocks the second retry, which
+// fails the test after 10 s instead of hanging.
+func TestClientConcurrentBackoff(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusTooManyRequests, QueryResponse{Outcome: OutcomeRejected})
+	}))
+	defer ts.Close()
+
+	const callers, retries, base = 8, 3, time.Millisecond
+	c := NewClient(ts.URL, nil, WithRetry(retries, base, 5))
+	slept := recordSleeps(c)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Query(QueryRequest{Items: []int{1}})
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("concurrent queries did not return within 10s: the backoff left its lock held")
+	}
+	if len(*slept) != callers*retries {
+		t.Fatalf("backoff pauses = %d, want %d", len(*slept), callers*retries)
+	}
+	for i, d := range *slept {
+		if d < 0 || d >= base<<(retries-1) {
+			t.Fatalf("pause %d = %v, want a jittered draw in [0, %v)", i, d, base<<(retries-1))
+		}
+	}
+}

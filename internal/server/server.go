@@ -234,11 +234,10 @@ var noStages trace.StageBreakdown
 // Server is the live web-database. Create with New, stop with Close.
 //
 // Locking: mu is the single coarse lock; every field annotated
-// "guarded by mu" may only be touched while holding it (the guardedflow
-// analyzer in internal/lint enforces the convention, `go test -race`
-// checks the dynamics). cfg, start, cond, expiry, wg and stopCh are set
-// in New before the Server escapes and are immutable or internally
-// synchronized afterwards.
+// "guarded by mu" may only be touched while holding it (`go test -race`
+// over the server tests checks the convention). cfg, start, cond,
+// expiry, wg and stopCh are set in New before the Server escapes and are
+// immutable or internally synchronized afterwards.
 //
 // Ownership: unlike Engine, no field here is owned by one goroutine —
 // every piece of mutable state is deliberately shared between the
@@ -390,8 +389,6 @@ func New(cfg Config) (*Server, error) {
 // drained counter tallies them — never a silent drop), and the control
 // loop halts. Close blocks until every worker goroutine has exited; it is
 // idempotent.
-//
-//unitlint:outcome q.tx
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -460,8 +457,6 @@ func (s *Server) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 }
 
 // queryCtx runs the query lifecycle; QueryCtx wraps it with metrics.
-//
-//unitlint:outcome tx
 func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	started := time.Now()
 	if req.Freshness <= 0 {
@@ -608,8 +603,6 @@ func (s *Server) expireDueLocked(now float64) {
 
 // expireLocked resolves q, already unlinked from the queue, as a deadline
 // miss and hands the verdict to its caller.
-//
-//unitlint:outcome q.tx
 func (s *Server) expireLocked(q *liveQuery, now float64) {
 	s.backlog -= q.req.Work.Seconds()
 	st := q.stagesLocked(now)
@@ -798,8 +791,6 @@ func (s *Server) retryAfterLocked() time.Duration {
 // finalizeLocked records a query's terminal outcome, resolved at server
 // time now, into the USM accountant and feeds its demand to the kernel;
 // callers hold s.mu.
-//
-//unitlint:outcome tx
 func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageBreakdown, now float64) {
 	tx.Outcome = o
 	s.acct.Record(o, tx.PrefClass)
@@ -820,8 +811,6 @@ func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageB
 }
 
 // worker pops EDF queries and executes them.
-//
-//unitlint:outcome q.tx
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -845,7 +834,8 @@ func (s *Server) worker() {
 			s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindOutcome, Query: q.tx.ID, Outcome: string(OutcomeCanceled), Stages: st})
 			s.mu.Unlock()
 			q.done <- QueryResponse{Outcome: OutcomeCanceled, Query: q.tx.ID, Stages: st}
-			//unitlint:ignore outcomeonce -- canceled queries bypass the USM by design: the user is gone, so q.tx stays unresolved and only s.canceled tallies it
+			// Canceled queries bypass the USM by design: the user is gone,
+			// so q.tx stays unresolved and only s.canceled tallies it.
 			continue
 		}
 		if now >= q.tx.Deadline {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +30,27 @@ func newTestServer(t *testing.T, mutate ...func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() { closeWithin(t, s, 10*time.Second) })
 	return s
+}
+
+// closeWithin runs s.Close and fails t with every goroutine's stack when
+// it has not returned within d: a test that leaves a worker blocked or
+// s.mu held then fails in seconds instead of hanging until go test's
+// -timeout. A Close that never returns leaks its goroutine.
+func closeWithin(t *testing.T, s *Server, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		t.Errorf("Close did not return within %v; goroutines:\n%s", d, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 func TestQuerySucceeds(t *testing.T) {
@@ -185,6 +205,38 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 	if st.UpdatesApplied+st.UpdatesDropped != 100 {
 		t.Fatalf("update outcomes = %d, want 100", st.UpdatesApplied+st.UpdatesDropped)
+	}
+}
+
+// TestControlLoopUnderTraffic: the control loop decides every
+// millisecond while clients query, write one item and read StatsWindow
+// and the slowest queries. The kernel, the feed state and the outcome
+// history are single-threaded, so every touch holds s.mu (the slow-query
+// heap its own lock): under -race a tick, a feed stamp or a history read
+// outside the lock is a DATA RACE.
+func TestControlLoopUnderTraffic(t *testing.T) {
+	s := newTestServer(t, func(cfg *Config) {
+		cfg.ControlPeriod = time.Millisecond
+		cfg.GracePeriod = time.Millisecond
+		cfg.MinDecisionSamples = 1
+	})
+	stop := time.Now().Add(200 * time.Millisecond)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				s.Query(QueryRequest{Items: []int{1, 2}, Deadline: 50 * time.Millisecond})
+				s.Update(UpdateRequest{Item: 1, Value: 1})
+				s.StatsWindow(time.Minute)
+				s.slowTop(4)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.LBCDecisions == 0 {
+		t.Fatalf("the control loop made no decision in 200ms of traffic: %+v", st)
 	}
 }
 

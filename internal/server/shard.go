@@ -167,8 +167,6 @@ func (g *Sharded) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse 
 // each touched shard resolves its slice; the merge picks the logical
 // outcome by precedence, so the one logical query resolves exactly once
 // here no matter how many slices it scattered into.
-//
-//unitlint:outcome merged
 func (g *Sharded) scatter(ctx context.Context, req QueryRequest, groups [][]int, touched []int) QueryResponse {
 	subs := make([]QueryResponse, len(touched))
 	var wg sync.WaitGroup
